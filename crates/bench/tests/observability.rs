@@ -1,7 +1,9 @@
 //! End-to-end checks for the observability bins: `bsotop` polling a
 //! live server (including the fault-recovery counters — resumes,
-//! replays and deadline sheds), `bsotop --tail` following a heartbeat
-//! file, and `trace_merge` joining two sink exports.
+//! replays and deadline sheds — and the agreement of the server's
+//! three metric views: `ServerStats`, `Introspect` and the Registry),
+//! `bsotop --tail` following a heartbeat file, and `trace_merge`
+//! joining two sink exports.
 //!
 //! The binaries run as real subprocesses (`CARGO_BIN_EXE_*`), so these
 //! tests cover argument parsing and output shape, not just the
@@ -174,11 +176,12 @@ fn trace_merge_joins_two_exports() {
 
 #[test]
 fn bsotop_reports_fault_recovery_counters() {
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpStream;
 
     use bso::objects::Value;
-    use bso::server::{wire, ErrorCode, Request, Response};
+    use bso::server::{wire, ErrorCode, Request, Response, ServerStats};
+    use bso_telemetry::Registry;
 
     fn send(c: &mut TcpStream, id: u64, req: &Request) {
         let mut buf = Vec::new();
@@ -190,20 +193,45 @@ fn bsotop_reports_fault_recovery_counters() {
         assert!(wire::read_frame(c, &mut body).unwrap(), "unexpected EOF");
         wire::decode_response(&body).unwrap()
     }
+    fn code(resp: Response) -> Option<ErrorCode> {
+        match resp {
+            Response::Err { code, .. } => Some(code),
+            _ => None,
+        }
+    }
+    fn totals(s: &ServerStats) -> [(&'static str, u64); 10] {
+        [
+            ("busy", s.busy),
+            ("connections", s.connections),
+            ("malformed", s.malformed),
+            ("replays", s.replays),
+            ("requests", s.requests),
+            ("responses", s.responses),
+            ("resumes", s.resumes),
+            ("shed", s.shed),
+            ("version_rejects", s.version_rejects),
+            ("wrong_shard", s.wrong_shard),
+        ]
+    }
 
     let mut layout = Layout::new();
     layout.push(ObjectInit::FetchAdd(0));
     layout.push(ObjectInit::FetchAdd(0));
+    let registry = Registry::enabled();
     let handle = Server::builder()
         .shards(2)
         .pin_cores(false)
+        .registry(registry.clone())
         .bind("127.0.0.1:0", &layout)
         .unwrap();
     let addr = handle.local_addr();
 
     // Force one of each recovery event: a session resume, a shed
     // zero-budget op, and (after a simulated crash) a duplicate-retry
-    // replay — then the dashboard must surface all three.
+    // replay — then the dashboard must surface all three. Around them,
+    // every other outcome the server counts: an inline and a
+    // cross-shard apply (one object per loop), a version reject, a
+    // malformed frame and, last, a `WrongShard`.
     let token = 0x70_u64;
     let add = Request::Apply {
         pid: 0,
@@ -224,19 +252,22 @@ fn bsotop_reports_fault_recovery_counters() {
     send(
         &mut c,
         3,
+        &Request::Apply {
+            pid: 0,
+            op: Op::new(ObjectId(1), OpKind::FetchAdd(1)),
+        },
+    );
+    assert_eq!(recv(&mut c), (3, Response::Ok(Value::Int(0))));
+    send(
+        &mut c,
+        4,
         &Request::DeadlineApply {
             budget_us: 0,
             pid: 0,
             op: Op::new(ObjectId(0), OpKind::FetchAdd(1)),
         },
     );
-    assert!(matches!(
-        recv(&mut c).1,
-        Response::Err {
-            code: ErrorCode::Expired,
-            ..
-        }
-    ));
+    assert_eq!(code(recv(&mut c).1), Some(ErrorCode::Expired));
     drop(c);
     let mut c2 = TcpStream::connect(addr).unwrap();
     send(
@@ -250,12 +281,17 @@ fn bsotop_reports_fault_recovery_counters() {
     recv(&mut c2);
     send(&mut c2, 2, &add);
     assert_eq!(recv(&mut c2), (2, Response::Ok(Value::Int(0))), "replayed");
+    send(&mut c2, 11, &Request::Hello { version: 1 });
+    assert_eq!(code(recv(&mut c2).1), Some(ErrorCode::Version));
+    // A frame claiming a 4 GiB body is malformed: its connection dies.
+    let mut bad = TcpStream::connect(addr).unwrap();
+    bad.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    assert_eq!(bad.read(&mut [0u8; 1]).unwrap(), 0, "malformed conn closed");
 
     let out = Command::new(env!("CARGO_BIN_EXE_bsotop"))
         .args([&addr.to_string(), "--frames", "1"])
         .output()
         .expect("spawn bsotop");
-    drop(c2);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -268,7 +304,72 @@ fn bsotop_reports_fault_recovery_counters() {
     );
     assert!(stdout.contains("shed/s"), "per-shard column: {stdout:?}");
 
+    // One apply per object from c2: whichever loop c2 is not on runs
+    // one of them, so that loop has committed everything it counted
+    // before c2 sees the answer.
+    for (id, obj) in [(12, 0), (13, 1)] {
+        send(
+            &mut c2,
+            id,
+            &Request::Apply {
+                pid: 0,
+                op: Op::read(ObjectId(obj)),
+            },
+        );
+        assert!(matches!(recv(&mut c2).1, Response::Ok(_)));
+    }
+    // A routing table that leaves object 1 to another server.
+    send(
+        &mut c2,
+        14,
+        &Request::UpdateRouting {
+            epoch: 1,
+            ranges: vec![(0, 0)],
+            table: String::new(),
+        },
+    );
+    assert_eq!(recv(&mut c2), (14, Response::Ok(Value::Nil)));
+    send(
+        &mut c2,
+        15,
+        &Request::Apply {
+            pid: 0,
+            op: Op::read(ObjectId(1)),
+        },
+    );
+    assert_eq!(code(recv(&mut c2).1), Some(ErrorCode::WrongShard));
+    send(&mut c2, 16, &Request::Introspect);
+    let Response::Introspect(text) = recv(&mut c2).1 else {
+        panic!("introspect answered with something else");
+    };
+    let scraped = json::parse(&text).unwrap();
+    drop(c2);
+
     let stats = handle.shutdown();
     assert_eq!((stats.resumes, stats.replays, stats.shed), (2, 1, 1));
+    assert_eq!(
+        (stats.version_rejects, stats.malformed, stats.wrong_shard),
+        (1, 1, 1)
+    );
     assert_eq!(stats.requests, stats.responses);
+    // Three views of one source: the Registry mirrors equal the
+    // shutdown totals exactly, and the last scrape equals both but for
+    // its own request and response.
+    let counters = registry.snapshot().counters;
+    for (name, total) in totals(&stats) {
+        assert_eq!(
+            counters.get(&format!("server.{name}")),
+            Some(&total),
+            "Registry server.{name} vs ServerStats"
+        );
+        let own = u64::from(name == "requests" || name == "responses");
+        assert_eq!(
+            scraped
+                .get("stats")
+                .and_then(|s| s.get(name))
+                .and_then(Json::as_u64),
+            Some(total - own),
+            "Introspect stats.{name} vs ServerStats"
+        );
+    }
 }

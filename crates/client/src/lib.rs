@@ -328,46 +328,6 @@ impl Connection {
         ClientBuilder::default()
     }
 
-    /// Connects to a server without the `Hello` handshake.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors from [`TcpStream::connect`].
-    #[deprecated(since = "0.2.0", note = "use `Connection::builder()` instead")]
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Connection> {
-        Connection::builder()
-            .handshake(false)
-            .connect(addr)
-            .map_err(|e| match e {
-                ClientError::Io(e) => e,
-                other => std::io::Error::other(other.to_string()),
-            })
-    }
-
-    /// Attaches a (shared) history recorder; every subsequent
-    /// successful `Apply` is logged with interval timestamps.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Connection::builder().recorder(...)` instead"
-    )]
-    #[must_use]
-    pub fn with_recorder(mut self, rec: std::sync::Arc<HistoryRecorder>) -> Connection {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Attaches a latency histogram; every completed request records
-    /// its client-observed round-trip in nanoseconds.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Connection::builder().latency_histogram(...)` instead"
-    )]
-    #[must_use]
-    pub fn with_latency_histogram(mut self, hist: Histogram) -> Connection {
-        self.latency = Some(hist);
-        self
-    }
-
     /// One `Hello` round trip: proposes [`wire::VERSION`] and checks
     /// the server's answer.
     ///

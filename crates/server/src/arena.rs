@@ -17,8 +17,6 @@
 //! that died (and whose slot was reused) is recognized as stale
 //! instead of being delivered to the wrong socket.
 
-use bso_telemetry::Gauge;
-
 /// A loop-local recycler for byte buffers.
 pub(crate) struct Arena {
     free: Vec<Vec<u8>>,
@@ -28,26 +26,23 @@ pub(crate) struct Arena {
     max_retained: usize,
     /// Buffers handed out and not yet returned.
     outstanding: usize,
-    in_use: Gauge,
 }
 
 impl Arena {
     /// An arena handing out `chunk`-byte buffers, retaining at most
-    /// `max_retained` free ones, reporting through `in_use`.
-    pub(crate) fn new(chunk: usize, max_retained: usize, in_use: Gauge) -> Arena {
+    /// `max_retained` free ones.
+    pub(crate) fn new(chunk: usize, max_retained: usize) -> Arena {
         Arena {
             free: Vec::new(),
             chunk: chunk.max(64),
             max_retained,
             outstanding: 0,
-            in_use,
         }
     }
 
     /// Takes a cleared buffer (recycled if available).
     pub(crate) fn get(&mut self) -> Vec<u8> {
         self.outstanding += 1;
-        self.in_use.set(self.outstanding as u64);
         match self.free.pop() {
             Some(mut b) => {
                 b.clear();
@@ -62,14 +57,12 @@ impl Arena {
     /// pinned in the free list forever.
     pub(crate) fn put(&mut self, buf: Vec<u8>) {
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.in_use.set(self.outstanding as u64);
         if self.free.len() < self.max_retained && buf.capacity() <= self.chunk * 16 {
             self.free.push(buf);
         }
     }
 
     /// Buffers currently handed out.
-    #[cfg(test)]
     pub(crate) fn outstanding(&self) -> usize {
         self.outstanding
     }
@@ -173,11 +166,10 @@ impl<T> Slab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bso_telemetry::Registry;
 
     #[test]
     fn arena_recycles_and_caps_retention() {
-        let mut a = Arena::new(1024, 2, Registry::enabled().gauge("test.arena"));
+        let mut a = Arena::new(1024, 2);
         let b1 = a.get();
         let b2 = a.get();
         let b3 = a.get();

@@ -27,24 +27,25 @@
 //! mark), so a pipelined client's burst of `n` requests costs one
 //! `write` syscall, not `n`. Wakeups to peer loops are batched the
 //! same way: at most one `wake()` per peer per turn, regardless of how
-//! many transfers were queued. The per-loop `server.loop<i>.flush_batch`
-//! histogram records frames-per-flush; `server.loop<i>.wakeups` counts
-//! turns.
+//! many transfers were queued. The probe's `flush_batch` histogram
+//! records frames-per-flush; `wakeups` counts turns.
 //!
 //! # Observability
 //!
-//! Independently of the opt-in telemetry registry, every loop feeds an
-//! always-on [`LoopProbe`](crate::introspect::LoopProbe) — plain
-//! histograms of apply/turn/flush cost plus the flight recorder of
-//! recent requests — which [`Request::Introspect`] serializes for any
-//! v2 client, and which is spilled to stderr if the loop thread
-//! panics. The request path only pushes into a loop-local
-//! [`ProbeScratch`]; the batch is committed to the shared probe once
-//! per turn, so the probe mutex is taken at turn frequency. Requests carrying a [`TraceContext`] additionally record a
-//! `server.apply` span on the *owning* loop's trace track (the span
-//! lands where the work ran, not where the bytes arrived), so merged
-//! client+server Chrome traces attribute each request's server time to
-//! a shard.
+//! A loop counts and times its requests in one place only: the plain
+//! fields of its loop-local [`ProbeScratch`] — requests, responses and
+//! each kind of refusal, plus an apply/elect record per request — which
+//! [`IntrospectState::commit_turn`] folds into the loop's always-on
+//! [`LoopProbe`](crate::introspect::LoopProbe) once per turn, so the
+//! probe mutex is taken at turn frequency and the request path touches
+//! no atomic. `ServerStats`, [`Request::Introspect`] snapshots and the
+//! Registry's `server.*` series are all views of those probes (see
+//! `introspect.rs`); the flight recorder is spilled to stderr if the
+//! loop thread panics. Requests carrying a [`TraceContext`]
+//! additionally record a `server.apply` span on the *owning* loop's
+//! trace track (the span lands where the work ran, not where the bytes
+//! arrived), so merged client+server Chrome traces attribute each
+//! request's server time to a shard.
 //!
 //! # Drain
 //!
@@ -57,16 +58,15 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bso_objects::{Layout, Op, Value};
 use bso_telemetry::trace::{TraceArg, TraceWorker};
-use bso_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::arena::{Arena, Slab};
-use crate::introspect::{self, IntrospectState, ProbeScratch};
+use crate::introspect::{self, elapsed_ns, IntrospectState, ProbeScratch};
 use crate::poll::{self, Interest, Poller, WakeReader, Waker};
 use crate::routing::RouteControl;
 use crate::session::{Begin, ResumeTable};
@@ -174,10 +174,10 @@ pub(crate) struct LoopHandle {
 }
 
 impl LoopHandle {
-    pub(crate) fn new(capacity: usize, depth: Gauge, waker: Waker) -> LoopHandle {
+    pub(crate) fn new(capacity: usize, waker: Waker) -> LoopHandle {
         LoopHandle {
             ctl: Mutex::new(VecDeque::new()),
-            xq: XQueue::new(capacity, depth),
+            xq: XQueue::new(capacity),
             waker,
         }
     }
@@ -193,30 +193,6 @@ impl LoopHandle {
     }
 }
 
-/// Exact lifetime totals, tracked by plain atomics (independently
-/// mirrored into telemetry counters) so they are right even when
-/// telemetry is disabled.
-#[derive(Default)]
-pub(crate) struct StatCells {
-    pub(crate) connections: AtomicU64,
-    pub(crate) requests: AtomicU64,
-    pub(crate) responses: AtomicU64,
-    pub(crate) busy: AtomicU64,
-    pub(crate) malformed: AtomicU64,
-    pub(crate) version_rejects: AtomicU64,
-    /// Deadline-carrying ops refused with [`ErrorCode::Expired`]
-    /// because their freshness budget ran out before the apply.
-    pub(crate) shed: AtomicU64,
-    /// [`Request::Resume`] bindings served.
-    pub(crate) resumes: AtomicU64,
-    /// Retried requests answered from a session's reply cache instead
-    /// of being applied again.
-    pub(crate) replays: AtomicU64,
-    /// Applies refused with [`ErrorCode::WrongShard`] because the
-    /// routing table does not place the object here (never applied).
-    pub(crate) wrong_shard: AtomicU64,
-}
-
 /// State shared between the acceptor, the event loops, and the handle.
 pub(crate) struct Shared {
     pub(crate) loops: Vec<LoopHandle>,
@@ -227,9 +203,9 @@ pub(crate) struct Shared {
     /// silently dropped during shutdown.
     pub(crate) inflight: AtomicI64,
     pub(crate) next_session: AtomicU32,
-    pub(crate) stats: StatCells,
-    /// Always-on introspection: bind-time config plus one probe (plain
-    /// histograms + flight recorder) per loop.
+    /// Always-on introspection: bind-time config plus one probe
+    /// (totals, plain histograms, flight recorder) per loop — the
+    /// server's only metrics state.
     pub(crate) introspect: IntrospectState,
     /// Resumable-session reply caches (exactly-once retries). Shared
     /// across loops because a reconnected client may land anywhere.
@@ -294,25 +270,9 @@ pub(crate) struct EventLoop {
     pin_cores: bool,
     /// This loop's trace track; disabled workers are free.
     trace: TraceWorker,
-    // Telemetry mirrors of the StatCells counters, plus loop-local
-    // instruments.
-    registry: Registry,
-    requests: Counter,
-    responses: Counter,
-    busy: Counter,
-    malformed: Counter,
-    version_rejects: Counter,
-    shed: Counter,
-    resumes: Counter,
-    replays: Counter,
-    wrong_shard: Counter,
-    wakeups: Counter,
-    conns_gauge: Gauge,
-    /// Created on first completed flush, so loops that never serve a
-    /// connection don't leave an empty histogram in the snapshot.
-    flush_batch: Option<Histogram>,
-    /// Loop-local probe buffer, committed to the shared
-    /// [`LoopProbe`](crate::introspect::LoopProbe) once per turn.
+    /// Everything this loop counted and timed this turn, committed to
+    /// the shared [`LoopProbe`](crate::introspect::LoopProbe) at the
+    /// end of the turn.
     probe: ProbeScratch,
     // Scratch reused across turns.
     events: Vec<poll::Event>,
@@ -331,7 +291,6 @@ impl EventLoop {
         poller: Poller,
         wake: WakeReader,
         shared: Arc<Shared>,
-        registry: &Registry,
         read_chunk: usize,
         pin_cores: bool,
         trace: TraceWorker,
@@ -342,29 +301,12 @@ impl EventLoop {
             poller,
             wake,
             conns: Slab::new(),
-            shard: ShardState::new(layout, index, nloops, registry),
-            arena: Arena::new(
-                read_chunk,
-                64,
-                registry.gauge(&format!("server.loop{index}.arena_buffers")),
-            ),
+            shard: ShardState::new(layout, index, nloops),
+            arena: Arena::new(read_chunk, 64),
             shared,
             read_chunk: read_chunk.max(1024),
             pin_cores,
             trace,
-            registry: registry.clone(),
-            requests: registry.counter("server.requests"),
-            responses: registry.counter("server.responses"),
-            busy: registry.counter("server.busy"),
-            malformed: registry.counter("server.malformed"),
-            version_rejects: registry.counter("server.version_rejects"),
-            shed: registry.counter("server.shed"),
-            resumes: registry.counter("server.resumes"),
-            replays: registry.counter("server.replays"),
-            wrong_shard: registry.counter("server.wrong_shard"),
-            wakeups: registry.counter(&format!("server.loop{index}.wakeups")),
-            conns_gauge: registry.gauge(&format!("server.loop{index}.conns")),
-            flush_batch: None,
             probe: ProbeScratch::default(),
             events: Vec::with_capacity(256),
             inbox: Vec::new(),
@@ -402,12 +344,19 @@ impl EventLoop {
             // Turn time measures the work between poll returns, not
             // the idle wait itself.
             let turn_start = Instant::now();
-            self.wakeups.inc();
+            // Empty the wake pipe *before* the inboxes. A peer queues
+            // its message and then writes the pipe, so every byte read
+            // here belongs to a message the drains below will find.
+            // Read after the drains, the pipe would swallow the byte of
+            // a message queued in between, and the loop would sleep on
+            // that message in an untimed wait.
+            if events.iter().any(|ev| ev.token == WAKE_TOKEN) {
+                self.wake.drain();
+            }
             self.drain_ctl();
             self.drain_xq();
             for ev in &events {
                 if ev.token == WAKE_TOKEN {
-                    self.wake.drain();
                     continue;
                 }
                 let slot = ev.token as u32;
@@ -425,8 +374,10 @@ impl EventLoop {
             self.shared.introspect.commit_turn(
                 self.index,
                 &mut self.probe,
-                u64::try_from(turn_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                elapsed_ns(turn_start),
                 self.conns.len(),
+                self.arena.outstanding(),
+                &self.shared.loops[self.index].xq,
             );
             self.send_wakes();
             if let Some(since) = drain_started {
@@ -449,6 +400,7 @@ impl EventLoop {
         for c in inbox.drain(..) {
             match c {
                 Ctl::NewConn(stream) => {
+                    self.probe.stats.connections += 1;
                     if self.shared.shutdown.load(Ordering::Acquire) {
                         drop(stream); // accepted during shutdown: refuse
                     } else {
@@ -504,14 +456,13 @@ impl EventLoop {
             self.arena.put(c.rbuf);
             self.arena.put(c.wbuf);
         }
-        self.conns_gauge.set(self.conns.len() as u64);
     }
 
     fn drain_xq(&mut self) {
         let mut xwork = std::mem::take(&mut self.xwork);
         self.shared.loops[self.index].xq.drain_into(&mut xwork);
         for x in xwork.drain(..) {
-            let queue_ns = u64::try_from(x.queued.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let queue_ns = elapsed_ns(x.queued);
             // Deadline check at the apply site: queued work whose
             // freshness budget ran out is shed — refused, never
             // applied — so an overloaded shard spends its time on
@@ -520,7 +471,7 @@ impl EventLoop {
                 if let Some(token) = x.sess {
                     self.shared.sessions.abort(token, x.req_id);
                 }
-                self.note_shed();
+                self.probe.stats.shed += 1;
                 Response::Err {
                     code: ErrorCode::Expired,
                     message: format!(
@@ -549,36 +500,18 @@ impl EventLoop {
                     if let Some(token) = x.sess {
                         self.shared.sessions.abort(token, x.req_id);
                     }
-                    self.note_wrong_shard();
+                    self.probe.stats.wrong_shard += 1;
                     Response::Err {
                         code: ErrorCode::WrongShard,
                         message: wire::wrong_shard_message(epoch, object),
                     }
                 } else {
+                    // batch 0: the reply is staged by the origin loop,
+                    // so this loop cannot know its flush position.
                     let resp = match x.work {
-                        Work::Apply { pid, op, trace } => {
-                            let object = op.obj.0 as u64;
-                            let t0 = self.span_start(trace);
-                            let (resp, apply_ns) = self.shard.apply(pid, &op);
-                            self.record_apply(trace, t0, object, apply_ns);
-                            // batch 0: the reply is staged by the origin loop,
-                            // so this loop cannot know its flush position.
-                            self.probe
-                                .push_request(wire::OP_APPLY, object, queue_ns, apply_ns, 0);
-                            resp
-                        }
-                        Work::OpenElection { session, k } => self.shard.open_election(session, k),
-                        Work::Elect { session, pid } => {
-                            let (resp, elect_ns) = self.shard.elect(session, pid);
-                            self.probe.push_request(
-                                wire::OP_ELECT,
-                                u64::from(session),
-                                queue_ns,
-                                elect_ns,
-                                0,
-                            );
-                            resp
-                        }
+                        Work::Apply { pid, op, trace } => self.apply(pid, &op, trace, queue_ns, 0),
+                        Work::OpenElection { session, k } => self.open_election(session, k),
+                        Work::Elect { session, pid } => self.elect(session, pid, queue_ns, 0),
                         work => self.run_admin(work),
                     };
                     // The outcome is recorded against the session *here*,
@@ -675,7 +608,7 @@ impl EventLoop {
                     }
                     Ok(None) => break,
                     Err(_) => {
-                        self.note_malformed();
+                        self.probe.stats.malformed += 1;
                         outcome = FrameOutcome::CloseHard;
                         break 'turn;
                     }
@@ -702,8 +635,7 @@ impl EventLoop {
     }
 
     fn handle_frame(&mut self, slot: u32, body: &[u8]) -> FrameOutcome {
-        self.shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.requests.inc();
+        self.probe.stats.requests += 1;
         let spoken = wire::peek_version(body).unwrap_or(0);
         let (req_id, req) = match wire::decode_request(body) {
             Ok(x) => x,
@@ -712,7 +644,7 @@ impl EventLoop {
                 // ours): typed rejection framed at our version —
                 // best effort, since we cannot know the peer's layout.
                 let req_id = wire::peek_req_id(body).unwrap_or(0);
-                self.note_version_reject();
+                self.probe.stats.version_rejects += 1;
                 self.respond(
                     slot,
                     req_id,
@@ -727,7 +659,7 @@ impl EventLoop {
                 return FrameOutcome::CloseGraceful;
             }
             Err(_) => {
-                self.note_malformed();
+                self.probe.stats.malformed += 1;
                 return FrameOutcome::CloseHard;
             }
         };
@@ -738,7 +670,7 @@ impl EventLoop {
             // Decodable (v1) but unserved: reject with a typed error
             // framed *at the client's version* so the client parses
             // its own rejection instead of seeing a malformed kill.
-            self.note_version_reject();
+            self.probe.stats.version_rejects += 1;
             if let Some(c) = self.conns.get_mut(slot) {
                 c.version = spoken;
             }
@@ -776,7 +708,7 @@ impl EventLoop {
                         if let Some(c) = self.conns.get_mut(slot) {
                             c.session = Some(token);
                         }
-                        self.note_resume();
+                        self.probe.stats.resumes += 1;
                         self.respond(slot, req_id, &Response::Resumed { token, cached });
                     }
                     Err(code) => self.respond(
@@ -808,7 +740,7 @@ impl EventLoop {
                 let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
                 let target = session as usize % self.nloops;
                 if target == self.index {
-                    let resp = self.shard.open_election(session, k as usize);
+                    let resp = self.open_election(session, k as usize);
                     self.settle(sess, req_id, &resp);
                     self.respond(slot, req_id, &resp);
                 } else {
@@ -833,9 +765,7 @@ impl EventLoop {
                 let target = session as usize % self.nloops;
                 if target == self.index {
                     let batch = self.conns.get_mut(slot).map_or(0, |c| c.batch);
-                    let (resp, elect_ns) = self.shard.elect(session, pid as usize);
-                    self.probe
-                        .push_request(wire::OP_ELECT, u64::from(session), 0, elect_ns, batch);
+                    let resp = self.elect(session, pid as usize, 0, batch);
                     self.settle(sess, req_id, &resp);
                     self.respond(slot, req_id, &resp);
                 } else {
@@ -949,7 +879,9 @@ impl EventLoop {
             Work::InstallObject { obj, state } => self.shard.install_object(obj, &state),
             Work::ExportSession { session } => self.shard.export_session(session),
             Work::InstallSession { session, k, state } => {
-                self.shard.install_session(session, k, &state)
+                let resp = self.shard.install_session(session, k, &state);
+                self.count_opened(&resp);
+                resp
             }
             // Apply/OpenElection/Elect never reach here: `drain_xq`
             // handles them in their own arms.
@@ -972,13 +904,12 @@ impl EventLoop {
         match self.shared.sessions.begin(token, req_id) {
             Begin::Fresh => Ok(Some(token)),
             Begin::Replay(resp) => {
-                self.note_replay();
+                self.probe.stats.replays += 1;
                 self.respond(slot, req_id, &resp);
                 Err(())
             }
             Begin::InFlight => {
-                self.shared.stats.busy.fetch_add(1, Ordering::Relaxed);
-                self.busy.inc();
+                self.probe.stats.busy += 1;
                 self.respond(
                     slot,
                     req_id,
@@ -1026,7 +957,7 @@ impl EventLoop {
             );
             return FrameOutcome::Next;
         }
-        self.note_version_reject();
+        self.probe.stats.version_rejects += 1;
         // Frame the refusal at the proposed version when the codec can
         // (a v1 Hello gets a v1-parseable answer); the connection stays
         // open so the client may re-negotiate.
@@ -1072,7 +1003,7 @@ impl EventLoop {
             if let Some(token) = sess {
                 self.shared.sessions.abort(token, req_id);
             }
-            self.note_shed();
+            self.probe.stats.shed += 1;
             self.respond(
                 slot,
                 req_id,
@@ -1099,7 +1030,7 @@ impl EventLoop {
             if let Some(token) = sess {
                 self.shared.sessions.abort(token, req_id);
             }
-            self.note_wrong_shard();
+            self.probe.stats.wrong_shard += 1;
             self.respond(
                 slot,
                 req_id,
@@ -1131,13 +1062,61 @@ impl EventLoop {
         // Position in the connection's current write batch, read
         // before the response is staged.
         let batch = self.conns.get_mut(slot).map_or(0, |c| c.batch);
-        let t0 = self.span_start(trace);
-        let (resp, apply_ns) = self.shard.apply(pid as usize, &op);
-        self.record_apply(trace, t0, object, apply_ns);
-        self.probe
-            .push_request(wire::OP_APPLY, object, 0, apply_ns, batch);
+        let resp = self.apply(pid as usize, &op, trace, 0, batch);
         self.settle(sess, req_id, &resp);
         self.respond(slot, req_id, &resp);
+    }
+
+    // The shard operations, run on this loop and recorded in its probe
+    // (`queue_ns` and `batch` as in the flight record).
+
+    fn apply(
+        &mut self,
+        pid: usize,
+        op: &Op,
+        trace: Option<TraceContext>,
+        queue_ns: u64,
+        batch: u64,
+    ) -> Response {
+        let object = op.obj.0 as u64;
+        let t0 = self.span_start(trace);
+        let (resp, apply_ns) = self.shard.apply(pid, op);
+        self.record_apply(trace, t0, object, apply_ns);
+        self.probe
+            .push_request(wire::OP_APPLY, object, queue_ns, apply_ns, batch);
+        if matches!(
+            resp,
+            Response::Err {
+                code: ErrorCode::Object,
+                ..
+            }
+        ) {
+            self.probe.object_errors += 1;
+        }
+        resp
+    }
+
+    fn elect(&mut self, session: u32, pid: usize, queue_ns: u64, batch: u64) -> Response {
+        let (resp, elect_ns) = self.shard.elect(session, pid);
+        let object = u64::from(session);
+        self.probe
+            .push_request(wire::OP_ELECT, object, queue_ns, elect_ns, batch);
+        if matches!(resp, Response::Ok(_)) {
+            self.probe.elections_decided += 1;
+        }
+        resp
+    }
+
+    fn open_election(&mut self, session: u32, k: usize) -> Response {
+        let resp = self.shard.open_election(session, k);
+        self.count_opened(&resp);
+        resp
+    }
+
+    fn count_opened(&mut self, resp: &Response) {
+        if matches!(resp, Response::Session(_)) {
+            self.probe.elections_opened += 1;
+        }
     }
 
     /// Timestamp for a traced apply's span start, or `None` when the
@@ -1203,8 +1182,7 @@ impl EventLoop {
                 if let Some(token) = sess {
                     self.shared.sessions.abort(token, req_id);
                 }
-                self.shared.stats.busy.fetch_add(1, Ordering::Relaxed);
-                self.busy.inc();
+                self.probe.stats.busy += 1;
                 self.respond(
                     slot,
                     req_id,
@@ -1252,8 +1230,7 @@ impl EventLoop {
         if newly {
             self.touched.push(slot);
         }
-        self.shared.stats.responses.fetch_add(1, Ordering::Relaxed);
-        self.responses.inc();
+        self.probe.stats.responses += 1;
         if backlog >= FLUSH_HIGH_WATER {
             self.flush_conn(slot);
         }
@@ -1303,15 +1280,6 @@ impl EventLoop {
             c.wpos = 0;
         }
         if batch > 0 {
-            if self.flush_batch.is_none() {
-                self.flush_batch = Some(
-                    self.registry
-                        .histogram(&format!("server.loop{}.flush_batch", self.index)),
-                );
-            }
-            if let Some(h) = &self.flush_batch {
-                h.record(batch);
-            }
             self.probe.push_flush(batch);
         }
         if close_now {
@@ -1359,46 +1327,8 @@ impl EventLoop {
         let _ = self.poller.deregister(poll::raw_fd(&c.stream));
         self.arena.put(c.rbuf);
         self.arena.put(c.wbuf);
-        self.conns_gauge.set(self.conns.len() as u64);
         // Dropping the stream closes the socket. Replies still in
         // flight for it will miss the generation check and be dropped.
-    }
-
-    fn note_malformed(&mut self) {
-        self.shared.stats.malformed.fetch_add(1, Ordering::Relaxed);
-        self.malformed.inc();
-    }
-
-    fn note_version_reject(&mut self) {
-        self.shared
-            .stats
-            .version_rejects
-            .fetch_add(1, Ordering::Relaxed);
-        self.version_rejects.inc();
-    }
-
-    fn note_shed(&mut self) {
-        self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        self.shed.inc();
-        self.probe.push_shed();
-    }
-
-    fn note_resume(&mut self) {
-        self.shared.stats.resumes.fetch_add(1, Ordering::Relaxed);
-        self.resumes.inc();
-    }
-
-    fn note_replay(&mut self) {
-        self.shared.stats.replays.fetch_add(1, Ordering::Relaxed);
-        self.replays.inc();
-    }
-
-    fn note_wrong_shard(&mut self) {
-        self.shared
-            .stats
-            .wrong_shard
-            .fetch_add(1, Ordering::Relaxed);
-        self.wrong_shard.inc();
     }
 
     // ------------------------------------------------------------ shutdown

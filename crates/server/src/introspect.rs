@@ -1,19 +1,27 @@
-//! Live server introspection: per-loop probes, the flight recorder,
-//! and the `bso-introspect/v1` snapshot document.
+//! The server's one source of metrics: per-loop probes, the flight
+//! recorder, and the `bso-introspect/v1` snapshot document.
 //!
-//! The telemetry [`Registry`](bso_telemetry::Registry) is opt-in and
-//! usually disabled, but a production server must be observable *as
-//! found* — so every loop also feeds an always-on [`LoopProbe`]:
-//! plain (non-atomic) log2 histograms for apply/turn/flush timings
-//! plus a fixed-size **flight recorder** ring of recent request
-//! records. The request path never touches shared state: each loop
-//! buffers its records in a loop-local [`ProbeScratch`] (a plain `Vec`
-//! push per request) and [`IntrospectState::commit_turn`] drains the
-//! batch into the mutex-guarded probe once per readiness turn — the
-//! lock is taken at turn frequency, not request frequency, so the
-//! always-on cost per request is a few nanoseconds (measured in
-//! EXPERIMENTS.md). An [`Introspect`](crate::wire::Request::Introspect)
-//! scrape therefore sees state as of each loop's last completed turn.
+//! Every event loop counts and times its requests in exactly one
+//! place, its always-on [`LoopProbe`]: lifetime totals (the
+//! [`ServerStats`] fields), plain (non-atomic) log2 histograms for
+//! apply/turn/flush timings, and a fixed-size **flight recorder** ring
+//! of recent request records. The request path never touches shared
+//! state: it bumps plain fields and pushes onto plain `Vec`s in a
+//! loop-local [`ProbeScratch`], and [`IntrospectState::commit_turn`]
+//! folds the batch into the mutex-guarded probe once per readiness
+//! turn — the lock is taken at turn frequency, not request frequency,
+//! so the always-on cost per request is a few nanoseconds (measured
+//! in EXPERIMENTS.md). Every view of the metrics derives from the
+//! probes:
+//!
+//! * [`ServerStats`] at shutdown is the sum of the probes' totals;
+//! * an [`Introspect`](crate::wire::Request::Introspect) scrape
+//!   renders the same sum, plus each loop's histograms and flight
+//!   recorder, as of each loop's last committed turn;
+//! * the opt-in telemetry [`Registry`]'s `server.*` series (the
+//!   `BSO_TELEMETRY` snapshot, `bso-progress/v1` heartbeats) are
+//!   written inside `commit_turn` from the same batch, and not at all
+//!   when the registry is disabled.
 //!
 //! The flight recorder keeps the last [`RING_CAPACITY`] request
 //! records (opcode, object id, cross-shard queue time, apply time,
@@ -26,14 +34,17 @@
 //! panics — the black box a crashed server leaves behind.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use bso_telemetry::json::Json;
-use bso_telemetry::{bucket_index, HistogramSnapshot, HISTOGRAM_BUCKETS};
+use bso_telemetry::{
+    bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS,
+};
 
-use crate::event_loop::Shared;
+use crate::event_loop::{Shared, Xfer};
+use crate::server::ServerStats;
+use crate::shard::XQueue;
 use crate::wire;
 
 /// Environment variable naming the file the server writes its full
@@ -59,10 +70,19 @@ const SCRAPE_RECENT: usize = 16;
 /// `Introspect` dumps at most this many pinned-slow records per loop.
 const SCRAPE_SLOW: usize = 8;
 
+/// Why a probe lock can fail: its loop panicked mid-commit.
+const PROBE_POISONED: &str = "an event loop panicked while committing to its probe";
+
+/// Nanoseconds since `since`, saturating.
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// One flight-recorder entry: what a request did and what it cost.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlightRecord {
-    /// Per-loop sequence number (monotonic, never wraps in practice).
+    /// Per-loop sequence number (monotonic, never wraps in practice),
+    /// assigned when the record is committed.
     pub(crate) seq: u64,
     /// The request's wire opcode.
     pub(crate) opcode: u8,
@@ -79,31 +99,32 @@ pub(crate) struct FlightRecord {
     pub(crate) batch: u64,
 }
 
-/// One not-yet-committed flight record, buffered loop-locally between
-/// turn commits (no `seq` yet — the probe assigns it at commit).
-#[derive(Clone, Copy)]
-pub(crate) struct PendingRecord {
-    opcode: u8,
-    object: u64,
-    queue_ns: u64,
-    apply_ns: u64,
-    batch: u64,
-}
-
-/// A loop's private probe buffer. The hot path pushes into plain
-/// `Vec`s — no lock, no shared cache line — and the loop hands the
-/// whole batch to [`IntrospectState::commit_turn`] once per readiness
-/// turn.
+/// A loop's private probe buffer: everything the loop counted and
+/// timed since its last commit. The request path bumps plain fields
+/// and pushes onto plain `Vec`s — no lock, no atomic, no shared cache
+/// line — and the loop hands the whole batch to
+/// [`IntrospectState::commit_turn`] once per readiness turn.
 #[derive(Default)]
 pub(crate) struct ProbeScratch {
-    requests: Vec<PendingRecord>,
+    /// Counted outcomes (requests, responses, refusals by kind, ...).
+    pub(crate) stats: ServerStats,
+    /// Applies the object itself refused (`server.errors.object`).
+    pub(crate) object_errors: u64,
+    /// Election sessions opened or installed
+    /// (`server.elections.opened`).
+    pub(crate) elections_opened: u64,
+    /// Election participants run to a decision
+    /// (`server.elections.decided`).
+    pub(crate) elections_decided: u64,
+    /// Applies and elects run on this loop, in order (`seq` unset).
+    requests: Vec<FlightRecord>,
+    /// Frames per completed response flush.
     flushes: Vec<u64>,
-    shed: u64,
 }
 
 impl ProbeScratch {
-    /// Buffers one served request (the always-on per-request cost: one
-    /// `Vec` push).
+    /// Buffers one apply or elect this loop ran (the always-on
+    /// per-request cost: one `Vec` push).
     #[inline]
     pub(crate) fn push_request(
         &mut self,
@@ -113,7 +134,8 @@ impl ProbeScratch {
         apply_ns: u64,
         batch: u64,
     ) {
-        self.requests.push(PendingRecord {
+        self.requests.push(FlightRecord {
+            seq: 0,
             opcode,
             object,
             queue_ns,
@@ -126,14 +148,6 @@ impl ProbeScratch {
     #[inline]
     pub(crate) fn push_flush(&mut self, batch: u64) {
         self.flushes.push(batch);
-    }
-
-    /// Counts one deadline-shed op (refused [`Expired`], not applied).
-    ///
-    /// [`Expired`]: crate::wire::ErrorCode::Expired
-    #[inline]
-    pub(crate) fn push_shed(&mut self) {
-        self.shed += 1;
     }
 }
 
@@ -215,11 +229,12 @@ fn hist_json(h: &HistogramSnapshot) -> Json {
 /// One event loop's always-on instrumentation, single-writer behind
 /// the [`IntrospectState`] mutex.
 pub(crate) struct LoopProbe {
+    /// Lifetime totals of what this loop counted. A deadline shed
+    /// counts on the loop that refused the op: the arriving loop, or
+    /// the owner for a queued transfer.
+    stats: ServerStats,
     conns: u64,
     wakeups: u64,
-    /// Ops this loop shed on deadline expiry (inline or at its apply
-    /// site for queued transfers).
-    shed: u64,
     turn_ns: PlainHist,
     apply_ns: PlainHist,
     elect_ns: PlainHist,
@@ -233,14 +248,17 @@ pub(crate) struct LoopProbe {
     threshold_ns: u64,
     since_refresh: u32,
     slow_dropped: u64,
+    /// This loop's telemetry mirror; `None` when the registry is
+    /// disabled.
+    series: Option<Series>,
 }
 
 impl LoopProbe {
-    fn new() -> LoopProbe {
+    fn new(series: Option<Series>) -> LoopProbe {
         LoopProbe {
+            stats: ServerStats::default(),
             conns: 0,
             wakeups: 0,
-            shed: 0,
             turn_ns: PlainHist::new(),
             apply_ns: PlainHist::new(),
             elect_ns: PlainHist::new(),
@@ -251,33 +269,20 @@ impl LoopProbe {
             threshold_ns: SLOW_FLOOR_NS,
             since_refresh: 0,
             slow_dropped: 0,
+            series,
         }
     }
 
-    fn record_request(
-        &mut self,
-        opcode: u8,
-        object: u64,
-        queue_ns: u64,
-        apply_ns: u64,
-        batch: u64,
-    ) {
-        let rec = FlightRecord {
-            seq: self.seq,
-            opcode,
-            object,
-            queue_ns,
-            apply_ns,
-            batch,
-        };
+    fn record_request(&mut self, mut rec: FlightRecord) {
+        rec.seq = self.seq;
         self.ring[self.seq as usize % RING_CAPACITY] = rec;
         self.seq += 1;
-        if opcode == wire::OP_ELECT {
-            self.elect_ns.record(apply_ns);
+        if rec.opcode == wire::OP_ELECT {
+            self.elect_ns.record(rec.apply_ns);
         } else {
-            self.apply_ns.record(apply_ns);
+            self.apply_ns.record(rec.apply_ns);
         }
-        if apply_ns >= self.threshold_ns {
+        if rec.apply_ns >= self.threshold_ns {
             if self.slow.len() >= SLOW_PINS {
                 self.slow.pop_front();
                 self.slow_dropped += 1;
@@ -327,10 +332,87 @@ impl LoopProbe {
             ("flight", self.flight_json(SCRAPE_RECENT, SCRAPE_SLOW)),
             ("flush_batch", hist_json(&self.flush_batch.snapshot())),
             ("queue_depth", Json::U64(queue_depth as u64)),
-            ("shed", Json::U64(self.shed)),
+            ("shed", Json::U64(self.stats.shed)),
             ("turn_ns", hist_json(&self.turn_ns.snapshot())),
             ("wakeups", Json::U64(self.wakeups)),
         ])
+    }
+}
+
+/// A loop's `server.*` series in the telemetry [`Registry`]: mirrors
+/// of its probe, written only by [`IntrospectState::commit_turn`].
+/// Names and types are the serving snapshot's contract
+/// (`validate_telemetry --serve`, `bso-progress/v1` heartbeats).
+struct Series {
+    registry: Registry,
+    index: usize,
+    /// `server.<name>` for each [`ServerStats::fields`] entry, in order.
+    totals: [Counter; 10],
+    object_errors: Counter,
+    elections_opened: Counter,
+    elections_decided: Counter,
+    wakeups: Counter,
+    conns: Gauge,
+    arena_buffers: Gauge,
+    queue_depth: Gauge,
+    apply_ns: Histogram,
+    elect_ns: Histogram,
+    /// Registered on the loop's first completed flush, so a loop that
+    /// never serves a connection leaves no empty histogram behind.
+    flush_batch: Option<Histogram>,
+}
+
+impl Series {
+    /// Registers loop `index`'s series, or `None` on a disabled
+    /// registry.
+    fn new(registry: &Registry, index: usize) -> Option<Series> {
+        registry.is_enabled().then(|| Series {
+            registry: registry.clone(),
+            index,
+            totals: ServerStats::default()
+                .fields()
+                .map(|(name, _)| registry.counter(&format!("server.{name}"))),
+            object_errors: registry.counter("server.errors.object"),
+            elections_opened: registry.counter("server.elections.opened"),
+            elections_decided: registry.counter("server.elections.decided"),
+            wakeups: registry.counter(&format!("server.loop{index}.wakeups")),
+            conns: registry.gauge(&format!("server.loop{index}.conns")),
+            arena_buffers: registry.gauge(&format!("server.loop{index}.arena_buffers")),
+            queue_depth: registry.gauge(&format!("server.shard{index}.queue_depth")),
+            apply_ns: registry.histogram("server.apply_ns"),
+            elect_ns: registry.histogram("server.elect_ns"),
+            flush_batch: None,
+        })
+    }
+
+    /// Adds one turn's scratch to the series.
+    fn write(&mut self, scratch: &ProbeScratch, conns: usize, buffers: usize, depth: usize) {
+        for (counter, (_, n)) in self.totals.iter().zip(scratch.stats.fields()) {
+            counter.add(n);
+        }
+        self.object_errors.add(scratch.object_errors);
+        self.elections_opened.add(scratch.elections_opened);
+        self.elections_decided.add(scratch.elections_decided);
+        self.wakeups.inc();
+        self.conns.set(conns as u64);
+        self.arena_buffers.set(buffers as u64);
+        self.queue_depth.set(depth as u64);
+        for r in &scratch.requests {
+            if r.opcode == wire::OP_ELECT {
+                self.elect_ns.record(r.apply_ns);
+            } else {
+                self.apply_ns.record(r.apply_ns);
+            }
+        }
+        if !scratch.flushes.is_empty() {
+            let hist = self.flush_batch.get_or_insert_with(|| {
+                self.registry
+                    .histogram(&format!("server.loop{}.flush_batch", self.index))
+            });
+            for &batch in &scratch.flushes {
+                hist.record(batch);
+            }
+        }
     }
 }
 
@@ -353,9 +435,11 @@ pub(crate) struct IntrospectState {
 }
 
 impl IntrospectState {
-    pub(crate) fn new(config: ConfigInfo) -> IntrospectState {
+    /// One probe per configured loop, each mirrored into `registry`
+    /// when it is enabled (the series are registered here, at bind).
+    pub(crate) fn new(config: ConfigInfo, registry: &Registry) -> IntrospectState {
         let probes = (0..config.shards)
-            .map(|_| Mutex::new(LoopProbe::new()))
+            .map(|i| Mutex::new(LoopProbe::new(Series::new(registry, i))))
             .collect();
         IntrospectState {
             started: Instant::now(),
@@ -364,27 +448,48 @@ impl IntrospectState {
         }
     }
 
-    /// Drains loop `index`'s turn scratch into its shared probe and
-    /// records the turn itself: one uncontended lock per readiness
+    /// Folds loop `index`'s turn scratch into its shared probe (and
+    /// the probe's Registry series), records the turn itself, and
+    /// leaves the scratch empty: one uncontended lock per readiness
     /// turn, regardless of how many requests the turn served.
+    /// `buffers` is the loop's arena buffers in use; `queue` its
+    /// cross-shard inbox, read only for the Registry gauge.
     pub(crate) fn commit_turn(
         &self,
         index: usize,
         scratch: &mut ProbeScratch,
         turn_ns: u64,
         conns: usize,
+        buffers: usize,
+        queue: &XQueue<Xfer>,
     ) {
-        let mut p = self.probes[index].lock().unwrap();
+        let mut p = self.probes[index].lock().expect(PROBE_POISONED);
+        if let Some(series) = &mut p.series {
+            series.write(scratch, conns, buffers, queue.len());
+        }
+        p.stats.add(&std::mem::take(&mut scratch.stats));
         for r in scratch.requests.drain(..) {
-            p.record_request(r.opcode, r.object, r.queue_ns, r.apply_ns, r.batch);
+            p.record_request(r);
         }
         for batch in scratch.flushes.drain(..) {
             p.flush_batch.record(batch);
         }
-        p.shed += std::mem::take(&mut scratch.shed);
+        scratch.object_errors = 0;
+        scratch.elections_opened = 0;
+        scratch.elections_decided = 0;
         p.wakeups += 1;
         p.turn_ns.record(turn_ns);
         p.conns = conns as u64;
+    }
+
+    /// The server's totals: the sum over every loop's probe, each as
+    /// of its last committed turn.
+    pub(crate) fn stats(&self) -> ServerStats {
+        let mut total = ServerStats::default();
+        for p in &self.probes {
+            total.add(&p.lock().expect(PROBE_POISONED).stats);
+        }
+        total
     }
 
     /// Loop `index`'s flight recorder as JSON (uncapped) — the panic
@@ -404,16 +509,23 @@ impl IntrospectState {
 /// identical state are byte-identical.
 pub(crate) fn introspect_doc(shared: &Shared) -> Json {
     let intro = &shared.introspect;
-    let stats = &shared.stats;
-    let shards: Vec<Json> = intro
-        .probes
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let depth = shared.loops[i].xq.len();
-            p.lock().unwrap().to_json(i, depth)
-        })
+    // The totals are summed from the very probe states the shard
+    // entries render, so per-shard figures add up to them exactly.
+    let mut stats = ServerStats::default();
+    let mut shards = Vec::with_capacity(intro.probes.len());
+    for (i, p) in intro.probes.iter().enumerate() {
+        let depth = shared.loops[i].xq.len();
+        let p = p.lock().expect(PROBE_POISONED);
+        stats.add(&p.stats);
+        shards.push(p.to_json(i, depth));
+    }
+    let mut totals: Vec<(&str, Json)> = stats
+        .fields()
+        .into_iter()
+        .map(|(name, n)| (name, Json::U64(n)))
         .collect();
+    totals.push(("sessions", Json::U64(shared.sessions.sessions() as u64)));
+    totals.sort_by_key(|&(name, _)| name);
     Json::obj([
         ("schema", Json::str("bso-introspect/v1")),
         (
@@ -441,40 +553,7 @@ pub(crate) fn introspect_doc(shared: &Shared) -> Json {
                 ("wire", Json::str(wire::SCHEMA)),
             ]),
         ),
-        (
-            "stats",
-            Json::obj([
-                ("busy", Json::U64(stats.busy.load(Ordering::Relaxed))),
-                (
-                    "connections",
-                    Json::U64(stats.connections.load(Ordering::Relaxed)),
-                ),
-                (
-                    "malformed",
-                    Json::U64(stats.malformed.load(Ordering::Relaxed)),
-                ),
-                ("replays", Json::U64(stats.replays.load(Ordering::Relaxed))),
-                (
-                    "requests",
-                    Json::U64(stats.requests.load(Ordering::Relaxed)),
-                ),
-                (
-                    "responses",
-                    Json::U64(stats.responses.load(Ordering::Relaxed)),
-                ),
-                ("resumes", Json::U64(stats.resumes.load(Ordering::Relaxed))),
-                ("sessions", Json::U64(shared.sessions.sessions() as u64)),
-                ("shed", Json::U64(stats.shed.load(Ordering::Relaxed))),
-                (
-                    "version_rejects",
-                    Json::U64(stats.version_rejects.load(Ordering::Relaxed)),
-                ),
-                (
-                    "wrong_shard",
-                    Json::U64(stats.wrong_shard.load(Ordering::Relaxed)),
-                ),
-            ]),
-        ),
+        ("stats", Json::obj(totals)),
         ("routing", shared.route.introspect()),
         ("shards", Json::Arr(shards)),
     ])
@@ -483,6 +562,15 @@ pub(crate) fn introspect_doc(shared: &Shared) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn apply(object: u64, apply_ns: u64) -> FlightRecord {
+        FlightRecord {
+            opcode: wire::OP_APPLY,
+            object,
+            apply_ns,
+            ..FlightRecord::default()
+        }
+    }
 
     #[test]
     fn plain_hist_matches_telemetry_quantile_semantics() {
@@ -502,10 +590,10 @@ mod tests {
 
     #[test]
     fn flight_recorder_pins_slow_requests_and_bounds_both_rings() {
-        let mut p = LoopProbe::new();
+        let mut p = LoopProbe::new(None);
         // Fast requests fill (and wrap) the ring without pinning.
         for i in 0..(RING_CAPACITY as u64 + 10) {
-            p.record_request(wire::OP_APPLY, i, 0, 100, 1);
+            p.record_request(apply(i, 100));
         }
         let full = p.flight_json(RING_CAPACITY, SLOW_PINS);
         let recent = full.get("recent").and_then(Json::items).unwrap();
@@ -523,7 +611,7 @@ mod tests {
         assert!(p.slow.is_empty(), "sub-floor requests are never pinned");
         // Slow requests pin, and the pin ring is bounded too.
         for i in 0..(SLOW_PINS as u64 + 3) {
-            p.record_request(wire::OP_APPLY, i, 0, SLOW_FLOOR_NS * 2, 0);
+            p.record_request(apply(i, SLOW_FLOOR_NS * 2));
         }
         assert_eq!(p.slow.len(), SLOW_PINS);
         assert_eq!(p.slow_dropped, 3);
@@ -535,11 +623,11 @@ mod tests {
 
     #[test]
     fn threshold_refreshes_from_the_observed_p99() {
-        let mut p = LoopProbe::new();
+        let mut p = LoopProbe::new(None);
         // A workload whose p99 sits far above the floor raises the
         // threshold at the refresh boundary.
         for _ in 0..THRESHOLD_REFRESH {
-            p.record_request(wire::OP_APPLY, 0, 0, SLOW_FLOOR_NS * 8, 0);
+            p.record_request(apply(0, SLOW_FLOOR_NS * 8));
         }
         assert!(p.threshold_ns >= SLOW_FLOOR_NS * 8, "{}", p.threshold_ns);
     }

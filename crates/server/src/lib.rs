@@ -31,8 +31,9 @@
 //! * Observability: a running server is never a black box. Any v2
 //!   client can scrape a deterministic `bso-introspect/v1` JSON
 //!   snapshot with [`Request::Introspect`] (per-shard queue depths,
-//!   connection counts, turn/apply quantiles, flight recorder);
-//!   requests may carry a [`TraceContext`] so client and server spans
+//!   connection counts, turn/apply quantiles, flight recorder), drawn
+//!   from the same per-loop probes as [`ServerStats`] and the
+//!   Registry's `server.*` series; requests may carry a [`TraceContext`] so client and server spans
 //!   of the same request share a `trace_id` across merged Chrome
 //!   traces; and `BSO_FLIGHT=path.json` preserves the final snapshot
 //!   on shutdown. See DESIGN.md §3.13.
@@ -79,7 +80,5 @@ pub mod wire;
 pub use introspect::FLIGHT_ENV;
 pub use poll::PollBackend;
 pub use routing::{RouteEntry, RoutingTable};
-#[allow(deprecated)] // the historical config surface stays re-exported
-pub use server::ServerConfig;
 pub use server::{Server, ServerBuilder, ServerHandle, ServerStats};
 pub use wire::{ErrorCode, Request, Response, TraceContext, WireError};

@@ -29,42 +29,17 @@ use bso_objects::Layout;
 use bso_telemetry::trace::TraceSink;
 use bso_telemetry::Registry;
 
-use crate::event_loop::{Ctl, EventLoop, LoopHandle, Shared, StatCells};
+use crate::event_loop::{Ctl, EventLoop, LoopHandle, Shared};
 use crate::introspect::{self, ConfigInfo, IntrospectState};
 use crate::poll::{self, PollBackend, Poller, WakeReader};
 use crate::routing::RouteControl;
 use crate::session::{ResumeTable, DEFAULT_MAX_SESSIONS, DEFAULT_REPLIES_PER_SESSION};
 
-/// Tuning knobs for the deprecated [`Server::bind`] entry point.
-#[deprecated(since = "0.2.0", note = "use `Server::builder()` instead")]
-#[derive(Clone, Debug)]
-pub struct ServerConfig {
-    /// Number of event loops (objects are owned by `obj.0 % shards`).
-    /// Default 4.
-    pub shards: usize,
-    /// Bounded depth of each loop's cross-shard queue; a route into a
-    /// full queue yields a typed `Busy`. Default 128.
-    pub queue_capacity: usize,
-    /// Telemetry sink for `server.*` metrics. Defaults to the
-    /// process-global registry, so `BSO_TELEMETRY=path.json` captures
-    /// server metrics with no extra wiring.
-    pub registry: Registry,
-}
-
-#[allow(deprecated)]
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            shards: 4,
-            queue_capacity: 128,
-            registry: Registry::default(),
-        }
-    }
-}
-
-/// Totals reported by [`ServerHandle::shutdown`]. Tracked by plain
-/// atomics (independently mirrored into telemetry counters) so they
-/// are exact even when telemetry is disabled.
+/// Totals reported by [`ServerHandle::shutdown`]: the sum of every
+/// event loop's probe, the one place the server counts its requests
+/// (the `Introspect` `stats` section and the Registry `server.*`
+/// counters are views of the same probes). Exact whether or not
+/// telemetry is enabled.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Connections accepted over the server's lifetime.
@@ -93,20 +68,36 @@ pub struct ServerStats {
     pub wrong_shard: u64,
 }
 
-impl StatCells {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            responses: self.responses.load(Ordering::Relaxed),
-            busy: self.busy.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            version_rejects: self.version_rejects.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            resumes: self.resumes.load(Ordering::Relaxed),
-            replays: self.replays.load(Ordering::Relaxed),
-            wrong_shard: self.wrong_shard.load(Ordering::Relaxed),
-        }
+impl ServerStats {
+    /// Every total under its name: the `Introspect` `stats` key, and
+    /// the Registry counter `server.<name>`.
+    pub(crate) fn fields(&self) -> [(&'static str, u64); 10] {
+        [
+            ("busy", self.busy),
+            ("connections", self.connections),
+            ("malformed", self.malformed),
+            ("replays", self.replays),
+            ("requests", self.requests),
+            ("responses", self.responses),
+            ("resumes", self.resumes),
+            ("shed", self.shed),
+            ("version_rejects", self.version_rejects),
+            ("wrong_shard", self.wrong_shard),
+        ]
+    }
+
+    /// Adds `other`'s totals to these.
+    pub(crate) fn add(&mut self, other: &ServerStats) {
+        self.connections += other.connections;
+        self.requests += other.requests;
+        self.responses += other.responses;
+        self.busy += other.busy;
+        self.malformed += other.malformed;
+        self.version_rejects += other.version_rejects;
+        self.shed += other.shed;
+        self.resumes += other.resumes;
+        self.replays += other.replays;
+        self.wrong_shard += other.wrong_shard;
     }
 }
 
@@ -119,25 +110,6 @@ impl Server {
     /// knobs and their defaults.
     pub fn builder() -> ServerBuilder {
         ServerBuilder::new()
-    }
-
-    /// Binds `addr` with the pre-builder configuration surface.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors from [`TcpListener::bind`].
-    #[deprecated(since = "0.2.0", note = "use `Server::builder()` instead")]
-    #[allow(deprecated)]
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        layout: &Layout,
-        config: ServerConfig,
-    ) -> std::io::Result<ServerHandle> {
-        Server::builder()
-            .shards(config.shards)
-            .queue_capacity(config.queue_capacity)
-            .registry(config.registry)
-            .bind(addr, layout)
     }
 }
 
@@ -233,7 +205,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Telemetry sink for `server.*` metrics.
+    /// Telemetry sink for the `server.*` series: registered at bind,
+    /// written by each event loop once per turn from its probe, and
+    /// never written when the registry is disabled.
     pub fn registry(mut self, r: Registry) -> ServerBuilder {
         self.registry = r;
         self
@@ -265,14 +239,10 @@ impl ServerBuilder {
         // handle vector is complete before any loop starts.
         let mut pollers = Vec::with_capacity(nloops);
         let mut handles = Vec::with_capacity(nloops);
-        for i in 0..nloops {
+        for _ in 0..nloops {
             let poller = Poller::new(self.backend)?;
             let (reader, waker) = WakeReader::pair()?;
-            handles.push(LoopHandle::new(
-                self.queue_capacity,
-                self.registry.gauge(&format!("server.shard{i}.queue_depth")),
-                waker,
-            ));
+            handles.push(LoopHandle::new(self.queue_capacity, waker));
             pollers.push((poller, reader));
         }
         let shared = Arc::new(Shared {
@@ -282,14 +252,16 @@ impl ServerBuilder {
             next_session: AtomicU32::new(0),
             sessions: ResumeTable::new(DEFAULT_MAX_SESSIONS, DEFAULT_REPLIES_PER_SESSION),
             route: RouteControl::new(),
-            stats: StatCells::default(),
-            introspect: IntrospectState::new(ConfigInfo {
-                shards: nloops,
-                queue_capacity: self.queue_capacity,
-                backend: self.backend.to_string(),
-                read_chunk: self.read_chunk,
-                pin_cores: self.pin_cores,
-            }),
+            introspect: IntrospectState::new(
+                ConfigInfo {
+                    shards: nloops,
+                    queue_capacity: self.queue_capacity,
+                    backend: self.backend.to_string(),
+                    read_chunk: self.read_chunk,
+                    pin_cores: self.pin_cores,
+                },
+                &self.registry,
+            ),
         });
         // BSO_PROGRESS=path.jsonl tails a serving heartbeat with no
         // extra wiring (idempotent; a no-op without the env var).
@@ -304,7 +276,6 @@ impl ServerBuilder {
                 poller,
                 reader,
                 Arc::clone(&shared),
-                &self.registry,
                 self.read_chunk,
                 self.pin_cores,
                 self.trace.worker(format!("server-loop{i}")),
@@ -319,10 +290,9 @@ impl ServerBuilder {
 
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let registry = self.registry.clone();
             std::thread::Builder::new()
                 .name("bso-acceptor".into())
-                .spawn(move || accept_loop(listener, shared, registry))
+                .spawn(move || accept_loop(listener, shared))
                 .expect("spawn acceptor")
         };
 
@@ -354,7 +324,7 @@ impl ServerHandle {
     /// answered), joins all threads, and returns the lifetime totals.
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
-        self.shared.stats.snapshot()
+        self.shared.introspect.stats()
     }
 
     fn drain(&mut self) {
@@ -395,8 +365,7 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, registry: Registry) {
-    let accepted = registry.counter("server.connections");
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let nloops = shared.loops.len();
     let mut next = 0usize;
     for stream in listener.incoming() {
@@ -410,8 +379,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, registry: Registry) {
         if poll::set_nonblocking(&stream).is_err() {
             continue;
         }
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
-        accepted.inc();
         let target = next % nloops;
         next = next.wrapping_add(1);
         shared.loops[target].send_ctl(Ctl::NewConn(stream));

@@ -32,18 +32,9 @@ use bso_objects::spec::ObjectState;
 use bso_objects::{Layout, Op, Value};
 use bso_protocols::CasOnlyElection;
 use bso_sim::{Action, Protocol};
-use bso_telemetry::{Counter, Gauge, Histogram, Registry};
 
+use crate::introspect::elapsed_ns;
 use crate::wire::{ErrorCode, Response};
-
-/// Telemetry handles one shard records into.
-struct ShardMetrics {
-    apply_ns: Histogram,
-    elect_ns: Histogram,
-    errors_object: Counter,
-    elections_opened: Counter,
-    elections_decided: Counter,
-}
 
 /// One event loop's slice of the object space plus its election
 /// sessions. Strictly single-owner: only the owning loop ever touches
@@ -54,7 +45,6 @@ pub(crate) struct ShardState {
     /// instead of silently aliasing.
     objects: Vec<Option<ObjectState>>,
     sessions: HashMap<u32, ElectionSession>,
-    metrics: ShardMetrics,
 }
 
 /// A live election session: the protocol instance plus its private
@@ -66,12 +56,7 @@ struct ElectionSession {
 
 impl ShardState {
     /// Materializes shard `shard` of `nshards` over `layout`.
-    pub(crate) fn new(
-        layout: &Layout,
-        shard: usize,
-        nshards: usize,
-        registry: &Registry,
-    ) -> ShardState {
+    pub(crate) fn new(layout: &Layout, shard: usize, nshards: usize) -> ShardState {
         let objects = layout
             .objects()
             .iter()
@@ -81,41 +66,29 @@ impl ShardState {
         ShardState {
             objects,
             sessions: HashMap::new(),
-            metrics: ShardMetrics {
-                apply_ns: registry.histogram("server.apply_ns"),
-                elect_ns: registry.histogram("server.elect_ns"),
-                errors_object: registry.counter("server.errors.object"),
-                elections_opened: registry.counter("server.elections.opened"),
-                elections_decided: registry.counter("server.elections.decided"),
-            },
         }
     }
 
     /// Applies one operation to an owned object, returning the
     /// response and the measured apply time in nanoseconds (for the
-    /// caller's flight recorder and trace spans). This call is the
+    /// caller's probe and trace spans). This call is the
     /// linearization point of the operation.
     pub(crate) fn apply(&mut self, pid: usize, op: &Op) -> (Response, u64) {
         let t = std::time::Instant::now();
         let resp = match self.objects.get_mut(op.obj.0).and_then(Option::as_mut) {
             Some(state) => match state.apply(pid, &op.kind) {
                 Ok(v) => Response::Ok(v),
-                Err(e) => {
-                    self.metrics.errors_object.inc();
-                    Response::Err {
-                        code: ErrorCode::Object,
-                        message: e.to_string(),
-                    }
-                }
+                Err(e) => Response::Err {
+                    code: ErrorCode::Object,
+                    message: e.to_string(),
+                },
             },
             None => Response::Err {
                 code: ErrorCode::BadRequest,
                 message: format!("no object with id {}", op.obj),
             },
         };
-        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.metrics.apply_ns.record(ns);
-        (resp, ns)
+        (resp, elapsed_ns(t))
     }
 
     /// Creates an election session under an id already allocated by
@@ -124,7 +97,6 @@ impl ShardState {
         match open_session(k) {
             Ok(s) => {
                 self.sessions.insert(session, s);
-                self.metrics.elections_opened.inc();
                 Response::Session(session)
             }
             Err(message) => Response::Err {
@@ -144,19 +116,14 @@ impl ShardState {
                 message: format!("no election session {session}"),
             },
             Some(s) => match run_participant(s, pid) {
-                Ok(v) => {
-                    self.metrics.elections_decided.inc();
-                    Response::Ok(v)
-                }
+                Ok(v) => Response::Ok(v),
                 Err(message) => Response::Err {
                     code: ErrorCode::BadRequest,
                     message,
                 },
             },
         };
-        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.metrics.elect_ns.record(ns);
-        (resp, ns)
+        (resp, elapsed_ns(t))
     }
 
     // Cluster-plane transfer surface (live shard migration; see
@@ -227,7 +194,6 @@ impl ShardState {
             Ok(cas) => {
                 s.cas = cas;
                 self.sessions.insert(session, s);
-                self.metrics.elections_opened.inc();
                 Response::Session(session)
             }
             Err(message) => Response::Err {
@@ -284,26 +250,22 @@ pub(crate) enum RouteError {
 ///
 /// [`XQueue::try_push`] is the only way in; it either enqueues or
 /// reports why not ([`RouteError::Busy`] / [`RouteError::Closed`]).
-/// Depth is exported as the loop's `server.shard<i>.queue_depth`
-/// gauge. The owning loop drains with [`XQueue::drain_into`], which
+/// The owning loop drains with [`XQueue::drain_into`], which
 /// takes everything queued in one lock acquisition — pushers never
 /// hold the lock across anything slower than a `VecDeque::push_back`.
 pub(crate) struct XQueue<T> {
     q: Mutex<VecDeque<T>>,
     capacity: usize,
     closed: AtomicBool,
-    depth: Gauge,
 }
 
 impl<T> XQueue<T> {
-    /// A queue of at most `capacity` entries, reporting its depth
-    /// through `depth`.
-    pub(crate) fn new(capacity: usize, depth: Gauge) -> XQueue<T> {
+    /// A queue of at most `capacity` entries.
+    pub(crate) fn new(capacity: usize) -> XQueue<T> {
         XQueue {
             q: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
             closed: AtomicBool::new(false),
-            depth,
         }
     }
 
@@ -319,7 +281,6 @@ impl<T> XQueue<T> {
             return Err(RouteError::Busy);
         }
         q.push_back(item);
-        self.depth.set(q.len() as u64);
         Ok(())
     }
 
@@ -327,7 +288,6 @@ impl<T> XQueue<T> {
     pub(crate) fn drain_into(&self, out: &mut Vec<T>) {
         let mut q = self.q.lock().unwrap();
         out.extend(q.drain(..));
-        self.depth.set(0);
     }
 
     /// Marks the queue closed: subsequent pushes fail with
@@ -342,7 +302,7 @@ impl<T> XQueue<T> {
     }
 
     /// How many entries are queued right now (an instantaneous depth
-    /// reading for `Introspect` scrapes).
+    /// reading for `Introspect` scrapes and the `queue_depth` gauge).
     pub(crate) fn len(&self) -> usize {
         self.q.lock().unwrap().len()
     }
@@ -365,7 +325,7 @@ mod tests {
     fn apply_owns_only_its_slice_of_the_id_space() {
         let layout = small_layout();
         // Shard 1 of 2 owns object 1 only.
-        let mut s = ShardState::new(&layout, 1, 2, &Registry::disabled());
+        let mut s = ShardState::new(&layout, 1, 2);
         let (resp, _) = s.apply(0, &Op::write(ObjectId(1), Value::Int(5)));
         assert_eq!(resp, Response::Ok(Value::Nil));
         let (resp, _) = s.apply(0, &Op::read(ObjectId(1)));
@@ -393,7 +353,7 @@ mod tests {
 
     #[test]
     fn election_session_elects_exactly_one_winner() {
-        let mut s = ShardState::new(&Layout::new(), 0, 1, &Registry::disabled());
+        let mut s = ShardState::new(&Layout::new(), 0, 1);
         assert_eq!(s.open_election(7, 5), Response::Session(7));
         let mut winners = Vec::new();
         for pid in 0..4 {
@@ -434,8 +394,8 @@ mod tests {
     #[test]
     fn migration_transfer_round_trips_objects_and_sessions() {
         let layout = small_layout();
-        let mut src = ShardState::new(&layout, 0, 1, &Registry::disabled());
-        let mut dst = ShardState::new(&layout, 0, 1, &Registry::disabled());
+        let mut src = ShardState::new(&layout, 0, 1);
+        let mut dst = ShardState::new(&layout, 0, 1);
         src.apply(0, &Op::write(ObjectId(1), Value::Int(41)));
         let exported = match src.export_object(1) {
             Response::Ok(v) => v,
@@ -501,7 +461,7 @@ mod tests {
 
     #[test]
     fn full_queue_reports_busy_without_blocking() {
-        let q: XQueue<u64> = XQueue::new(2, Registry::disabled().gauge("test.q"));
+        let q: XQueue<u64> = XQueue::new(2);
         assert!(q.try_push(0).is_ok());
         assert!(q.try_push(1).is_ok());
         assert!(matches!(q.try_push(2), Err(RouteError::Busy)));
@@ -514,7 +474,7 @@ mod tests {
 
     #[test]
     fn closed_queue_reports_closed_but_stays_drainable() {
-        let q: XQueue<u64> = XQueue::new(4, Registry::disabled().gauge("test.q"));
+        let q: XQueue<u64> = XQueue::new(4);
         assert!(q.try_push(0).is_ok());
         q.close();
         assert!(matches!(q.try_push(1), Err(RouteError::Closed)));

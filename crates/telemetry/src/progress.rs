@@ -123,7 +123,8 @@ pub fn heartbeat(
         ));
     }
     // The serving variant: present only when a `bso-server` is feeding
-    // this registry (its loops register `server.requests` at bind).
+    // this registry (a server registers `server.requests` when it
+    // binds; its loops then write it once per turn from their probes).
     // Counters are lifetime totals — consumers (`bsotop --tail`) take
     // deltas between lines for rates.
     if let Some(reqs) = snap.counters.get("server.requests") {
