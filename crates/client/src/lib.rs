@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod resilient;
+mod session;
 pub mod swarm;
 
 pub use resilient::{ResilientBuilder, ResilientClient, RetryPolicy};
@@ -71,8 +72,100 @@ use bso_telemetry::Histogram;
 /// would cross-match spans from unrelated requests.
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
-pub(crate) fn next_trace_id() -> u64 {
-    NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
+/// The request for one apply: a `TracedApply` carrying a fresh trace
+/// id when `trace` is enabled, whose stamp `(trace_id, start)`
+/// [`apply_span`] later closes, and a plain `Apply` otherwise.
+pub(crate) fn apply_request(
+    trace: &TraceWorker,
+    req_id: u64,
+    pid: usize,
+    op: Op,
+) -> (Request, Option<(u64, u64)>) {
+    let pid = pid as u32;
+    if !trace.is_enabled() {
+        return (Request::Apply { pid, op }, None);
+    }
+    let trace_id = NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed);
+    let ctx = TraceContext {
+        trace_id,
+        span_id: req_id,
+    };
+    (
+        Request::TracedApply { ctx, pid, op },
+        Some((trace_id, trace.now_ns())),
+    )
+}
+
+/// Records the `client.apply` span of a traced apply that
+/// [`apply_request`] stamped, tagged with one more `tag` argument.
+pub(crate) fn apply_span(
+    trace: &TraceWorker,
+    (trace_id, t0): (u64, u64),
+    tag: (&'static str, u64),
+) {
+    let dur = trace.now_ns().saturating_sub(t0);
+    trace.event_at(
+        t0,
+        Some(dur),
+        "client.apply",
+        [
+            ("trace_id", TraceArg::U64(trace_id)),
+            (tag.0, TraceArg::U64(tag.1)),
+        ],
+    );
+}
+
+/// The payload `shape` accepts from `resp`. A typed `Err` becomes
+/// [`ClientError::Server`]; any other shape is a
+/// [`ClientError::Protocol`] naming `what` it answered.
+pub(crate) fn response_as<T>(
+    resp: Response,
+    what: &str,
+    shape: impl FnOnce(Response) -> Result<T, Response>,
+) -> Result<T, ClientError> {
+    shape(resp).map_err(|other| match other {
+        Response::Err { code, message } => ClientError::Server { code, message },
+        other => ClientError::Protocol(format!("unexpected response to {what}: {other:?}")),
+    })
+}
+
+/// Response shapes for [`response_as`], shared by both clients' typed
+/// calls.
+mod shape {
+    use bso_objects::Value;
+    use bso_server::Response;
+
+    pub(crate) fn value(r: Response) -> Result<Value, Response> {
+        match r {
+            Response::Ok(v) => Ok(v),
+            r => Err(r),
+        }
+    }
+
+    pub(crate) fn ack(r: Response) -> Result<(), Response> {
+        value(r).map(drop)
+    }
+
+    pub(crate) fn session(r: Response) -> Result<u32, Response> {
+        match r {
+            Response::Session(s) => Ok(s),
+            r => Err(r),
+        }
+    }
+
+    pub(crate) fn winner(r: Response) -> Result<usize, Response> {
+        match r {
+            Response::Ok(Value::Pid(winner)) => Ok(winner),
+            r => Err(r),
+        }
+    }
+
+    pub(crate) fn snapshot(r: Response) -> Result<String, Response> {
+        match r {
+            Response::Introspect(json) => Ok(json),
+            r => Err(r),
+        }
+    }
 }
 
 /// Why a client call failed.
@@ -183,8 +276,17 @@ impl HistoryRecorder {
         self.clock.fetch_add(1, Ordering::SeqCst)
     }
 
-    fn record(&self, rec: RecordedOp) {
-        self.log.lock().unwrap().push(rec);
+    /// Logs a successful op invoked at tick `invoked_at`, stamping its
+    /// response now.
+    fn complete(&self, pid: usize, op: Op, resp: Value, invoked_at: u64) {
+        let responded_at = self.tick();
+        self.log.lock().unwrap().push(RecordedOp {
+            pid,
+            op,
+            resp,
+            invoked_at,
+            responded_at,
+        });
     }
 
     /// Drains the log so far, sorted by response time (the order
@@ -235,7 +337,6 @@ pub struct Connection {
 #[derive(Clone, Debug, Default)]
 pub struct ClientBuilder {
     no_handshake: bool,
-    no_nodelay: bool,
     recorder: Option<std::sync::Arc<HistoryRecorder>>,
     latency: Option<Histogram>,
     trace: TraceWorker,
@@ -248,14 +349,6 @@ impl ClientBuilder {
     #[must_use]
     pub fn handshake(mut self, yes: bool) -> ClientBuilder {
         self.no_handshake = !yes;
-        self
-    }
-
-    /// Whether to disable Nagle's algorithm (default `true`; pipelined
-    /// small frames serialize on the RTT otherwise).
-    #[must_use]
-    pub fn nodelay(mut self, yes: bool) -> ClientBuilder {
-        self.no_nodelay = !yes;
         self
     }
 
@@ -298,12 +391,10 @@ impl ClientBuilder {
     /// version, [`ClientError::Protocol`] on a nonsensical handshake
     /// reply.
     pub fn connect(self, addr: impl ToSocketAddrs) -> Result<Connection, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        if !self.no_nodelay {
-            stream.set_nodelay(true)?;
-        }
+        let addrs = session::resolve(addr)?;
+        let stream = session::connect(&addrs, None, !self.no_handshake, None)?;
         let write_half = stream.try_clone()?;
-        let mut conn = Connection {
+        Ok(Connection {
             reader: BufReader::new(stream),
             writer: BufWriter::new(write_half),
             out: Vec::new(),
@@ -313,11 +404,7 @@ impl ClientBuilder {
             recorder: self.recorder,
             latency: self.latency,
             trace: self.trace,
-        };
-        if !self.no_handshake {
-            conn.hello()?;
-        }
-        Ok(conn)
+        })
     }
 }
 
@@ -326,31 +413,6 @@ impl Connection {
     /// knobs and their defaults.
     pub fn builder() -> ClientBuilder {
         ClientBuilder::default()
-    }
-
-    /// One `Hello` round trip: proposes [`wire::VERSION`] and checks
-    /// the server's answer.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Server`] with [`ErrorCode::Version`] when the
-    /// server cannot serve our version; [`ClientError::Protocol`] when
-    /// it answers with a different version than it accepted.
-    pub fn hello(&mut self) -> Result<(), ClientError> {
-        let id = self.send_control(&Request::Hello {
-            version: wire::VERSION,
-        })?;
-        match self.wait(id)? {
-            Response::Hello { version } if version == wire::VERSION => Ok(()),
-            Response::Hello { version } => Err(ClientError::Protocol(format!(
-                "server accepted version {version}, we speak {}",
-                wire::VERSION
-            ))),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-hello response to a hello: {other:?}"
-            ))),
-        }
     }
 
     /// Queues one operation without flushing and returns its `req_id`.
@@ -364,24 +426,7 @@ impl Connection {
     pub fn send(&mut self, pid: usize, op: Op) -> Result<u64, ClientError> {
         let req_id = self.next_id;
         self.next_id += 1;
-        let trace = self.trace.is_enabled().then(|| {
-            let trace_id = next_trace_id();
-            (trace_id, self.trace.now_ns())
-        });
-        let req = match trace {
-            Some((trace_id, _)) => Request::TracedApply {
-                ctx: TraceContext {
-                    trace_id,
-                    span_id: req_id,
-                },
-                pid: pid as u32,
-                op: op.clone(),
-            },
-            None => Request::Apply {
-                pid: pid as u32,
-                op: op.clone(),
-            },
-        };
+        let (req, trace) = apply_request(&self.trace, req_id, pid, op.clone());
         wire::encode_request(req_id, &req, &mut self.out)?;
         let invoked_at = self.recorder.as_deref().map(HistoryRecorder::tick);
         self.pending.insert(
@@ -451,27 +496,11 @@ impl Connection {
         if let Some(h) = &self.latency {
             h.record(u64::try_from(pending.sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        if let Some((trace_id, t0)) = pending.trace {
-            let dur = self.trace.now_ns().saturating_sub(t0);
-            self.trace.event_at(
-                t0,
-                Some(dur),
-                "client.apply",
-                [
-                    ("trace_id", TraceArg::U64(trace_id)),
-                    ("req_id", TraceArg::U64(req_id)),
-                ],
-            );
+        if let Some(stamp) = pending.trace {
+            apply_span(&self.trace, stamp, ("req_id", req_id));
         }
-        if let (Some(rec), Some(op), Response::Ok(v)) = (&self.recorder, &pending.op, &resp) {
-            let responded_at = rec.tick();
-            rec.record(RecordedOp {
-                pid: pending.pid,
-                op: op.clone(),
-                resp: v.clone(),
-                invoked_at: pending.invoked_at,
-                responded_at,
-            });
+        if let (Some(rec), Some(op), Response::Ok(v)) = (&self.recorder, pending.op, &resp) {
+            rec.complete(pending.pid, op, v.clone(), pending.invoked_at);
         }
         Ok((req_id, resp))
     }
@@ -504,13 +533,7 @@ impl Connection {
     /// everything [`Connection::recv`] can fail with.
     pub fn apply(&mut self, pid: usize, op: Op) -> Result<Value, ClientError> {
         let id = self.send(pid, op)?;
-        match self.wait(id)? {
-            Response::Ok(v) => Ok(v),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-value response to an apply: {other:?}"
-            ))),
-        }
+        response_as(self.wait(id)?, "an apply", shape::value)
     }
 
     /// Opens a leader-election session over a fresh
@@ -520,14 +543,8 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn open_election(&mut self, k: u32) -> Result<u32, ClientError> {
-        let id = self.send_control(&Request::OpenElection { k })?;
-        match self.wait(id)? {
-            Response::Session(s) => Ok(s),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-session response to an open-election: {other:?}"
-            ))),
-        }
+        let req = Request::OpenElection { k };
+        self.call(&req, "an open-election", shape::session)
     }
 
     /// Runs participant `pid` of `session` to its decision and returns
@@ -537,17 +554,7 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn elect(&mut self, session: u32, pid: u32) -> Result<usize, ClientError> {
-        let id = self.send_control(&Request::Elect { session, pid })?;
-        match self.wait(id)? {
-            Response::Ok(Value::Pid(winner)) => Ok(winner),
-            Response::Ok(v) => Err(ClientError::Protocol(format!(
-                "election decided a non-pid value {v}"
-            ))),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-pid response to an elect: {other:?}"
-            ))),
-        }
+        self.call(&Request::Elect { session, pid }, "an elect", shape::winner)
     }
 
     /// Scrapes the server's live `bso-introspect/v1` snapshot: config
@@ -560,14 +567,7 @@ impl Connection {
     /// Same classes as [`Connection::apply`]; v1 servers answer with a
     /// typed [`ErrorCode::Version`] error.
     pub fn introspect(&mut self) -> Result<String, ClientError> {
-        let id = self.send_control(&Request::Introspect)?;
-        match self.wait(id)? {
-            Response::Introspect(json) => Ok(json),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-snapshot response to an introspect: {other:?}"
-            ))),
-        }
+        self.call(&Request::Introspect, "an introspect", shape::snapshot)
     }
 
     /// Round-trips a no-op, confirming the connection is live and all
@@ -577,14 +577,7 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let id = self.send_control(&Request::Ping)?;
-        match self.wait(id)? {
-            Response::Ok(_) => Ok(()),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-ack response to a ping: {other:?}"
-            ))),
-        }
+        self.call(&Request::Ping, "a ping", shape::ack)
     }
 
     /// Requests sent but not yet answered.
@@ -605,14 +598,10 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn fetch_routing(&mut self) -> Result<(u64, String), ClientError> {
-        let id = self.send_control(&Request::FetchRouting)?;
-        match self.wait(id)? {
+        self.call(&Request::FetchRouting, "a fetch-routing", |r| match r {
             Response::Routing { epoch, table } => Ok((epoch, table)),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-routing response to a fetch-routing: {other:?}"
-            ))),
-        }
+            r => Err(r),
+        })
     }
 
     /// Installs a routing table: `epoch` must exceed the server's
@@ -630,12 +619,12 @@ impl Connection {
         ranges: Vec<(u64, u64)>,
         table: String,
     ) -> Result<(), ClientError> {
-        let id = self.send_control(&Request::UpdateRouting {
+        let req = Request::UpdateRouting {
             epoch,
             ranges,
             table,
-        })?;
-        self.wait_ack(id, "update-routing")
+        };
+        self.call(&req, "an update-routing", shape::ack)
     }
 
     /// Detaches `ranges` from the server's owned set under a new
@@ -652,8 +641,8 @@ impl Connection {
         epoch: u64,
         ranges: Vec<(u64, u64)>,
     ) -> Result<(), ClientError> {
-        let id = self.send_control(&Request::DetachRanges { epoch, ranges })?;
-        self.wait_ack(id, "detach-ranges")
+        let req = Request::DetachRanges { epoch, ranges };
+        self.call(&req, "a detach-ranges", shape::ack)
     }
 
     /// Exports object `obj`'s full serialized state for migration.
@@ -662,14 +651,8 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn export_object(&mut self, obj: u32) -> Result<Value, ClientError> {
-        let id = self.send_control(&Request::ExportObject { obj })?;
-        match self.wait(id)? {
-            Response::Ok(v) => Ok(v),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-value response to an export-object: {other:?}"
-            ))),
-        }
+        let req = Request::ExportObject { obj };
+        self.call(&req, "an export-object", shape::value)
     }
 
     /// Installs exported `state` as object `obj`, overwriting the
@@ -679,8 +662,8 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn install_object(&mut self, obj: u32, state: Value) -> Result<(), ClientError> {
-        let id = self.send_control(&Request::InstallObject { obj, state })?;
-        self.wait_ack(id, "install-object")
+        let req = Request::InstallObject { obj, state };
+        self.call(&req, "an install-object", shape::ack)
     }
 
     /// Exports election session `session` as a `[k, cas-state]` pair.
@@ -689,14 +672,8 @@ impl Connection {
     ///
     /// Same classes as [`Connection::apply`].
     pub fn export_session(&mut self, session: u32) -> Result<Value, ClientError> {
-        let id = self.send_control(&Request::ExportSession { session })?;
-        match self.wait(id)? {
-            Response::Ok(v) => Ok(v),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-value response to an export-session: {other:?}"
-            ))),
-        }
+        let req = Request::ExportSession { session };
+        self.call(&req, "an export-session", shape::value)
     }
 
     /// Reconstructs election session `session` (domain `k`) from an
@@ -711,24 +688,19 @@ impl Connection {
         k: u32,
         state: Value,
     ) -> Result<(), ClientError> {
-        let id = self.send_control(&Request::InstallSession { session, k, state })?;
-        match self.wait(id)? {
-            Response::Session(_) => Ok(()),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-session response to an install-session: {other:?}"
-            ))),
-        }
+        let req = Request::InstallSession { session, k, state };
+        self.call(&req, "an install-session", |r| shape::session(r).map(drop))
     }
 
-    /// Waits for `req_id` and requires a plain `Ok` acknowledgement.
-    fn wait_ack(&mut self, req_id: u64, what: &str) -> Result<(), ClientError> {
-        match self.wait(req_id)? {
-            Response::Ok(_) => Ok(()),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-ack response to a {what}: {other:?}"
-            ))),
-        }
+    /// One control round trip: send `req`, wait, and unwrap the reply's
+    /// `shape`.
+    fn call<T>(
+        &mut self,
+        req: &Request,
+        what: &str,
+        shape: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, ClientError> {
+        let id = self.send_control(req)?;
+        response_as(self.wait(id)?, what, shape)
     }
 }

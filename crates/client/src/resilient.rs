@@ -11,64 +11,49 @@
 //! is exactly-once *visible* semantics: an operation's effect happens
 //! at most once no matter how many times the wire eats the reply.
 //!
-//! Retry classification follows the wire-level [`ErrorCode`](bso_server::ErrorCode) split:
+//! The session protocol itself — `req_id` pinning, `Hello` + `Resume`
+//! on connect, the retry decision and the backoff — lives in one
+//! private engine that resilient [`Swarm`](crate::Swarm) lanes share,
+//! so both clients follow one decision table (DESIGN.md §3.14):
 //!
-//! * [`ErrorCode::retry_in_place`](bso_server::ErrorCode::retry_in_place) (`Busy`, `Expired`) — back off and
-//!   re-send on the same connection; the server refused without
-//!   applying.
-//! * [`ErrorCode::retry_after_reconnect`](bso_server::ErrorCode::retry_after_reconnect) (`ShuttingDown`,
-//!   `Overloaded`) — drop the socket, back off, reconnect, resume,
-//!   re-send.
-//! * [`ErrorCode::retry_after_refresh`](bso_server::ErrorCode::retry_after_refresh) (`WrongShard`) — the op was
-//!   refused *before* applying because the routing table places its
-//!   object on another server. This client has no table, so the error
-//!   surfaces; a routing-aware caller (the `bso-cluster` client)
-//!   refreshes its table, [`ResilientClient::retarget`]s this session
-//!   at the owner, and re-issues the op — duplicate-safe because
-//!   `WrongShard` guarantees non-application.
-//! * Everything else (`BadToken`, `BadRequest`, …) — terminal: the
+//! * [`ErrorCode::retry_in_place`](bso_server::ErrorCode::retry_in_place)
+//!   (`Busy`, `Expired`) — back off and re-send on the same
+//!   connection; the server refused without applying.
+//! * [`ErrorCode::retry_after_reconnect`](bso_server::ErrorCode::retry_after_reconnect)
+//!   (`ShuttingDown`, `Overloaded`), transport errors (`Io`, `Wire`,
+//!   an EOF, a handshake cut short) and no byte read for
+//!   [`RetryPolicy::read_timeout`] while a reply is owed — drop the
+//!   socket, back off, reconnect, resume, re-send.
+//! * Everything else (`WrongShard`, `BadToken`, `BadRequest`, …), or
+//!   [`RetryPolicy::max_attempts`] spent — surfaces to the caller. A
+//!   `WrongShard` op was refused *before* applying because the
+//!   routing table places its object on another server; this client
+//!   has no table, and a routing-aware caller (the `bso-cluster`
+//!   client, which keeps one `ResilientClient` per member) re-routes
+//!   it to the owner's session — duplicate-safe because `WrongShard`
+//!   guarantees non-application. The other refusals are terminal: the
 //!   outcome is either knowable-and-bad or unknowable, and a blind
 //!   retry could duplicate an effect.
 //!
 //! Backoff is capped exponential with deterministic
-//! [`SplitMix64`]-seeded jitter, so a chaos run's retry schedule is as
-//! replayable as its fault schedule.
+//! [`SplitMix64`](bso_objects::rng::SplitMix64)-seeded jitter, so a
+//! chaos run's retry schedule is as replayable as its fault schedule.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bso_objects::rng::SplitMix64;
 use bso_objects::{Op, Value};
 use bso_server::wire;
 use bso_server::{Request, Response};
-use bso_sim::RecordedOp;
 
-use crate::{ClientError, HistoryRecorder};
+use crate::session::{self, Backoff, Next, Session};
+use crate::{response_as, shape, ClientError, HistoryRecorder};
 
-/// Process-wide fallback token allocator for builders that never call
-/// [`ResilientBuilder::token`] (also consumed by resilient
-/// [`Swarm`](crate::Swarm) lanes). Tokens must be unique per server
-/// session table, and every resilient client in this process may talk
-/// to the same server. Starts above zero so a default token is never
-/// confused with "unset" in logs.
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-/// Allocates `n` consecutive fresh session tokens, returning the first.
-pub(crate) fn alloc_tokens(n: u64) -> u64 {
-    NEXT_TOKEN.fetch_add(n, Ordering::Relaxed)
-}
-
-/// `req_id`s for the connect-time `Hello`/`Resume` round trips. They
-/// live outside the session's monotonic operation ids (the server's
-/// reply cache never sees control opcodes) and are consumed
-/// synchronously, so reusing them on every reconnect is safe.
-const HELLO_REQ_ID: u64 = u64::MAX;
-const RESUME_REQ_ID: u64 = u64::MAX - 1;
-
-/// How hard a [`ResilientClient`] fights for each operation.
+/// How hard a [`ResilientClient`] — or a resilient
+/// [`Swarm`](crate::Swarm) lane, which takes the default — fights for
+/// each operation.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per operation (first try included). When they
@@ -79,10 +64,11 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Ceiling for the exponential backoff.
     pub max_backoff: Duration,
-    /// Socket read timeout. A stalled server (or a chaos proxy sitting
-    /// on a reply) turns into a timeout, which is treated like a
-    /// broken connection: reconnect, resume, re-send. `None` blocks
-    /// forever.
+    /// How long a connection owed a reply may stay silent. A stalled
+    /// server (or a chaos proxy sitting on a reply, or a corrupted
+    /// length prefix announcing bytes that never come) turns into a
+    /// timeout, which is treated like a broken connection: reconnect,
+    /// resume, re-send. `None` waits forever.
     pub read_timeout: Option<Duration>,
 }
 
@@ -151,30 +137,16 @@ impl ResilientBuilder {
     ///
     /// [`ClientError::Io`] when `addr` resolves to nothing.
     pub fn connect(self, addr: impl ToSocketAddrs) -> Result<ResilientClient, ClientError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        if addrs.is_empty() {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::AddrNotAvailable,
-                "address resolved to no socket addresses",
-            )));
-        }
-        let token = self
-            .token
-            .unwrap_or_else(|| NEXT_TOKEN.fetch_add(1, Ordering::Relaxed));
+        let addrs = session::resolve(addr)?;
+        let token = self.token.unwrap_or_else(|| session::alloc_tokens(1));
         Ok(ResilientClient {
             addrs,
-            token,
-            policy: self.policy,
-            rng: SplitMix64::new(self.seed.unwrap_or(token)),
+            session: Session::new(token),
+            backoff: Backoff::new(self.policy, self.seed.unwrap_or(token)),
             recorder: self.recorder,
             stream: None,
-            next_req_id: 1,
-            last_acked: 0,
             connects: 0,
-            reconnects: 0,
             retries: 0,
-            replays_resumed: 0,
-            redirects: 0,
         })
     }
 }
@@ -183,22 +155,14 @@ impl ResilientBuilder {
 /// See the [module docs](self) for the retry contract.
 pub struct ResilientClient {
     addrs: Vec<SocketAddr>,
-    token: u64,
-    policy: RetryPolicy,
-    rng: SplitMix64,
+    /// `req_id`s (monotonic across reconnects — the server's reply
+    /// cache is keyed by them), the op in flight and `last_acked`.
+    session: Session,
+    backoff: Backoff,
     recorder: Option<Arc<HistoryRecorder>>,
     stream: Option<TcpStream>,
-    /// Next operation `req_id`; monotonic across reconnects — the
-    /// server's reply cache is keyed by it.
-    next_req_id: u64,
-    /// Highest `req_id` whose response this client has consumed;
-    /// reported in `Resume` so the server can prune its cache.
-    last_acked: u64,
     connects: u64,
-    reconnects: u64,
     retries: u64,
-    replays_resumed: u64,
-    redirects: u64,
 }
 
 impl ResilientClient {
@@ -209,56 +173,18 @@ impl ResilientClient {
 
     /// The session token this client binds on every connect.
     pub fn token(&self) -> u64 {
-        self.token
+        self.session.token
     }
 
     /// Reconnects performed so far (the first connect not counted).
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.connects.saturating_sub(1)
     }
 
     /// Operation attempts beyond the first, across all causes
     /// (backpressure, shed deadlines, broken sockets).
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Cached replies the server reported holding for us across all
-    /// `Resume` round trips — a cheap signal that replay protection
-    /// actually engaged during a run.
-    pub fn resumed_cached(&self) -> u64 {
-        self.replays_resumed
-    }
-
-    /// Times this session was pointed at a different server via
-    /// [`ResilientClient::retarget`].
-    pub fn redirects(&self) -> u64 {
-        self.redirects
-    }
-
-    /// Points this session at a different server. The live socket (if
-    /// any) is dropped; the next operation connects there, re-binds
-    /// the same session token with `Resume`, and proceeds. Called by
-    /// routing-aware wrappers after a `WrongShard` refusal, and safe
-    /// at any time — `req_id`s stay monotonic across targets.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] when `addr` resolves to nothing.
-    pub fn retarget(&mut self, addr: impl ToSocketAddrs) -> Result<(), ClientError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        if addrs.is_empty() {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::AddrNotAvailable,
-                "address resolved to no socket addresses",
-            )));
-        }
-        if addrs != self.addrs {
-            self.addrs = addrs;
-            self.stream = None;
-            self.redirects += 1;
-        }
-        Ok(())
     }
 
     /// Applies `op` as process `pid`, retrying per the policy.
@@ -272,27 +198,7 @@ impl ResilientClient {
             pid: pid as u32,
             op: op.clone(),
         };
-        let invoked_at = self.recorder.as_deref().map(HistoryRecorder::tick);
-        let v = match self.call(&req)? {
-            Response::Ok(v) => v,
-            Response::Err { code, message } => return Err(ClientError::Server { code, message }),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "non-value response to an apply: {other:?}"
-                )))
-            }
-        };
-        if let Some(rec) = &self.recorder {
-            let responded_at = rec.tick();
-            rec.record(RecordedOp {
-                pid,
-                op,
-                resp: v.clone(),
-                invoked_at: invoked_at.unwrap_or(0),
-                responded_at,
-            });
-        }
-        Ok(v)
+        self.apply_recorded(pid, op, &req)
     }
 
     /// Applies `op` with a per-attempt freshness budget: the server
@@ -310,33 +216,12 @@ impl ResilientClient {
         op: Op,
         budget: Duration,
     ) -> Result<Value, ClientError> {
-        let budget_us = u32::try_from(budget.as_micros()).unwrap_or(u32::MAX);
         let req = Request::DeadlineApply {
-            budget_us,
+            budget_us: u32::try_from(budget.as_micros()).unwrap_or(u32::MAX),
             pid: pid as u32,
             op: op.clone(),
         };
-        let invoked_at = self.recorder.as_deref().map(HistoryRecorder::tick);
-        let v = match self.call(&req)? {
-            Response::Ok(v) => v,
-            Response::Err { code, message } => return Err(ClientError::Server { code, message }),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "non-value response to a deadline apply: {other:?}"
-                )))
-            }
-        };
-        if let Some(rec) = &self.recorder {
-            let responded_at = rec.tick();
-            rec.record(RecordedOp {
-                pid,
-                op,
-                resp: v.clone(),
-                invoked_at: invoked_at.unwrap_or(0),
-                responded_at,
-            });
-        }
-        Ok(v)
+        self.apply_recorded(pid, op, &req)
     }
 
     /// Opens a leader-election session over a fresh
@@ -348,13 +233,8 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn open_election(&mut self, k: u32) -> Result<u32, ClientError> {
-        match self.call(&Request::OpenElection { k })? {
-            Response::Session(s) => Ok(s),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-session response to an open-election: {other:?}"
-            ))),
-        }
+        let resp = self.call(&Request::OpenElection { k })?;
+        response_as(resp, "an open-election", shape::session)
     }
 
     /// Runs participant `pid` of `session` to its decision and returns
@@ -364,16 +244,8 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn elect(&mut self, session: u32, pid: u32) -> Result<usize, ClientError> {
-        match self.call(&Request::Elect { session, pid })? {
-            Response::Ok(Value::Pid(winner)) => Ok(winner),
-            Response::Ok(v) => Err(ClientError::Protocol(format!(
-                "election decided a non-pid value {v}"
-            ))),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-pid response to an elect: {other:?}"
-            ))),
-        }
+        let resp = self.call(&Request::Elect { session, pid })?;
+        response_as(resp, "an elect", shape::winner)
     }
 
     /// Round-trips a no-op, reconnecting if needed.
@@ -382,13 +254,8 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Ping)? {
-            Response::Ok(_) => Ok(()),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-ack response to a ping: {other:?}"
-            ))),
-        }
+        let resp = self.call(&Request::Ping)?;
+        response_as(resp, "a ping", shape::ack)
     }
 
     /// Scrapes the server's `bso-introspect/v1` snapshot.
@@ -397,59 +264,64 @@ impl ResilientClient {
     ///
     /// Same classes as [`ResilientClient::apply`].
     pub fn introspect(&mut self) -> Result<String, ClientError> {
-        match self.call(&Request::Introspect)? {
-            Response::Introspect(json) => Ok(json),
-            Response::Err { code, message } => Err(ClientError::Server { code, message }),
-            other => Err(ClientError::Protocol(format!(
-                "non-snapshot response to an introspect: {other:?}"
-            ))),
+        let resp = self.call(&Request::Introspect)?;
+        response_as(resp, "an introspect", shape::snapshot)
+    }
+
+    /// Runs `req`, an apply of `op` by `pid`, to its value, logging it
+    /// when a recorder is attached. The logged interval spans first
+    /// send to final receive, so it covers the server-side
+    /// linearization point whichever attempt applied the op.
+    fn apply_recorded(&mut self, pid: usize, op: Op, req: &Request) -> Result<Value, ClientError> {
+        let invoked_at = self.recorder.as_deref().map(HistoryRecorder::tick);
+        let v = response_as(self.call(req)?, "an apply", shape::value)?;
+        if let Some(rec) = &self.recorder {
+            rec.complete(pid, op, v.clone(), invoked_at.unwrap_or(0));
         }
+        Ok(v)
     }
 
     /// One operation, end to end: allocate a `req_id`, then attempt
-    /// until a terminal response lands or the policy gives up. The
-    /// `req_id` is *fixed across every retry* — that is what lets the
-    /// server distinguish "same op again, replay it" from new work.
+    /// until the session settles it. The `req_id` is *fixed across
+    /// every retry* — that is what lets the server distinguish "same op
+    /// again, replay it" from new work.
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let req_id = self.next_req_id;
+        let id = self.session.next_id();
         let mut frame = Vec::new();
-        wire::encode_request(req_id, req, &mut frame)?;
-        let mut attempt: u32 = 0;
+        wire::encode_request(id, req, &mut frame)?;
+        self.session.retain(id, frame);
         loop {
-            attempt += 1;
-            let out = self.attempt(req_id, &frame);
-            let exhausted = attempt >= self.policy.max_attempts;
-            match out {
-                Ok(Response::Err { code, .. }) if code.retry_in_place() && !exhausted => {
-                    self.retries += 1;
-                    self.backoff(attempt);
+            let outcome = self.attempt(id);
+            let wait = match self.session.settle(id, outcome.as_ref(), &mut self.backoff) {
+                Next::Done => {
+                    // A socket that failed an op may still owe its reply.
+                    if outcome.is_err() {
+                        self.stream = None;
+                    }
+                    return outcome;
                 }
-                Ok(Response::Err { code, .. }) if code.retry_after_reconnect() && !exhausted => {
-                    self.retries += 1;
+                Next::RetryInPlace(wait) => wait,
+                Next::Reconnect(wait) => {
                     self.stream = None;
-                    self.backoff(attempt);
+                    wait
                 }
-                Ok(resp) => {
-                    self.next_req_id += 1;
-                    self.last_acked = req_id;
-                    return Ok(resp);
-                }
-                Err(e) if !exhausted && reconnect_worthy(&e) => {
-                    self.retries += 1;
-                    self.stream = None;
-                    self.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
+            };
+            self.retries += 1;
+            std::thread::sleep(wait);
         }
     }
 
-    /// One attempt: (re)connect + resume if needed, write the frame,
-    /// read the matching response.
-    fn attempt(&mut self, req_id: u64, frame: &[u8]) -> Result<Response, ClientError> {
-        self.ensure_connected()?;
+    /// One attempt: connect (`Hello`, `Resume`) if there is no socket,
+    /// write op `id`'s frame, read the matching response.
+    fn attempt(&mut self, id: u64) -> Result<Response, ClientError> {
+        if self.stream.is_none() {
+            let read_timeout = self.backoff.policy.read_timeout;
+            let stream = session::connect(&self.addrs, read_timeout, true, Some(&self.session))?;
+            self.stream = Some(stream);
+            self.connects += 1;
+        }
         let stream = self.stream.as_mut().expect("connected above");
-        stream.write_all(frame)?;
+        stream.write_all(self.session.frame(id))?;
         let mut buf = Vec::new();
         if !wire::read_frame(stream, &mut buf)? {
             return Err(ClientError::Io(std::io::Error::new(
@@ -457,160 +329,13 @@ impl ResilientClient {
                 "server closed the connection mid-operation",
             )));
         }
-        let (id, resp) = wire::decode_response_current(&buf)?;
-        if id != req_id {
+        let (got, resp) = wire::decode_response_current(&buf)?;
+        if got != id {
             return Err(ClientError::Protocol(format!(
-                "response for req_id {id}, expected {req_id}"
+                "response for req_id {got}, expected {id}"
             )));
         }
         Ok(resp)
-    }
-
-    /// Connect, `Hello`, `Resume` — idempotent when already connected.
-    fn ensure_connected(&mut self) -> Result<(), ClientError> {
-        if self.stream.is_some() {
-            return Ok(());
-        }
-        let mut last_err: Option<std::io::Error> = None;
-        let mut stream = None;
-        for addr in &self.addrs {
-            match TcpStream::connect(addr) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let stream = match stream {
-            Some(s) => s,
-            None => {
-                return Err(ClientError::Io(last_err.unwrap_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::NotConnected, "no address to try")
-                })))
-            }
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.policy.read_timeout)?;
-        self.stream = Some(stream);
-        if self.connects > 0 {
-            self.reconnects += 1;
-        }
-        self.connects += 1;
-        // Handshake, then bind the session. A failure drops the socket
-        // so the next attempt starts clean.
-        let hello = self.roundtrip(
-            HELLO_REQ_ID,
-            &Request::Hello {
-                version: wire::VERSION,
-            },
-        );
-        match hello {
-            Ok(Response::Hello { version }) if version == wire::VERSION => {}
-            Ok(Response::Err { code, message }) => {
-                self.stream = None;
-                return Err(ClientError::Server { code, message });
-            }
-            Ok(other) => {
-                self.stream = None;
-                return Err(ClientError::Protocol(format!(
-                    "non-hello response to a hello: {other:?}"
-                )));
-            }
-            Err(e) => {
-                self.stream = None;
-                return Err(e);
-            }
-        }
-        let resume = self.roundtrip(
-            RESUME_REQ_ID,
-            &Request::Resume {
-                token: self.token,
-                last_acked: self.last_acked,
-            },
-        );
-        match resume {
-            Ok(Response::Resumed { token, cached }) if token == self.token => {
-                self.replays_resumed += u64::from(cached);
-                Ok(())
-            }
-            Ok(Response::Err { code, message }) => {
-                self.stream = None;
-                Err(ClientError::Server { code, message })
-            }
-            Ok(other) => {
-                self.stream = None;
-                Err(ClientError::Protocol(format!(
-                    "non-resumed response to a resume: {other:?}"
-                )))
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn roundtrip(&mut self, req_id: u64, req: &Request) -> Result<Response, ClientError> {
-        let stream = self.stream.as_mut().expect("caller connected");
-        let mut frame = Vec::new();
-        wire::encode_request(req_id, req, &mut frame)?;
-        stream.write_all(&frame)?;
-        let mut buf = Vec::new();
-        if !wire::read_frame(stream, &mut buf)? {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection during the handshake",
-            )));
-        }
-        let (id, resp) = wire::decode_response_current(&buf)?;
-        if id != req_id {
-            return Err(ClientError::Protocol(format!(
-                "handshake response for req_id {id}, expected {req_id}"
-            )));
-        }
-        Ok(resp)
-    }
-
-    /// Sleep `base * 2^(attempt-1)` capped, jittered into the upper
-    /// half so synchronized clients desynchronize deterministically.
-    fn backoff(&mut self, attempt: u32) {
-        let base = self.policy.base_backoff.as_nanos() as u64;
-        let cap = self.policy.max_backoff.as_nanos() as u64;
-        let exp = base.saturating_shl(attempt.saturating_sub(1).min(32));
-        let full = exp.min(cap).max(1);
-        let jittered = full / 2 + self.rng.below(full / 2 + 1);
-        std::thread::sleep(Duration::from_nanos(jittered));
-    }
-}
-
-/// Whether a transport-level failure should trigger
-/// reconnect-and-resume. Typed server refusals are classified by
-/// [`ErrorCode`](bso_server::ErrorCode) in the caller; this handles the rest.
-pub(crate) fn reconnect_worthy(e: &ClientError) -> bool {
-    match e {
-        // Broken sockets, EOFs, and read timeouts all mean "the wire
-        // failed us" — the session protocol makes the resend safe.
-        ClientError::Io(_) => true,
-        // Corrupt bytes (a chaos proxy flipping bits) poison only the
-        // connection, not the session.
-        ClientError::Wire(_) => true,
-        ClientError::Server { code, .. } => code.retry_after_reconnect(),
-        ClientError::Protocol(_) => false,
-    }
-}
-
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> u64 {
-        if shift >= u64::BITS || self.leading_zeros() < shift {
-            u64::MAX
-        } else {
-            self << shift
-        }
     }
 }
 
@@ -620,28 +345,32 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_and_deterministic() {
-        let policy = RetryPolicy::default();
-        let base = policy.base_backoff.as_nanos() as u64;
-        let cap = policy.max_backoff.as_nanos() as u64;
-        // Two RNGs from the same seed walk the same jitter sequence.
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        for attempt in 1..20u32 {
-            let exp = base.saturating_shl(attempt.saturating_sub(1).min(32));
-            let full = exp.min(cap).max(1);
-            let ja = full / 2 + a.below(full / 2 + 1);
-            let jb = full / 2 + b.below(full / 2 + 1);
-            assert_eq!(ja, jb);
-            assert!(ja <= cap, "attempt {attempt} exceeded the cap");
+        // The default policy doubles from 1 ms and stops at 100 ms.
+        let full_ms = [1, 2, 4, 8, 16, 32, 64, 100, 100, 100];
+        // Two backoffs from the same seed walk the same jitter sequence.
+        let mut a = Backoff::new(RetryPolicy::default(), 7);
+        let mut b = Backoff::new(RetryPolicy::default(), 7);
+        for (attempt, full) in (1..).zip(full_ms.map(Duration::from_millis)) {
+            let ja = a.delay(attempt);
+            assert_eq!(ja, b.delay(attempt));
+            assert!(ja <= full, "attempt {attempt} exceeded its ceiling");
             assert!(ja * 2 >= full, "jitter left the upper half");
         }
     }
 
     #[test]
-    fn saturating_shl_never_wraps() {
-        assert_eq!(1u64.saturating_shl(3), 8);
-        assert_eq!(u64::MAX.saturating_shl(1), u64::MAX);
-        assert_eq!(1u64.saturating_shl(64), u64::MAX);
-        assert_eq!((1u64 << 62).saturating_shl(3), u64::MAX);
+    fn backoff_never_wraps() {
+        // 2^20 s is ~2^50 ns: from attempt 15 on the exponential passes
+        // u64::MAX nanoseconds and must saturate, not wrap to a short
+        // wait.
+        let policy = RetryPolicy {
+            base_backoff: Duration::from_secs(1 << 20),
+            max_backoff: Duration::MAX,
+            ..RetryPolicy::default()
+        };
+        let mut backoff = Backoff::new(policy, 7);
+        for attempt in [15, 33, 64, 65, u32::MAX] {
+            assert!(backoff.delay(attempt) >= Duration::from_nanos(u64::MAX / 2));
+        }
     }
 }

@@ -25,6 +25,17 @@
 //!   silently stretching the arrival gaps (the coordinated-omission
 //!   correction).
 //!
+//! In [`SwarmBuilder::resilient`] mode every lane is one session of the
+//! engine [`ResilientClient`](crate::ResilientClient) runs on, with
+//! [`RetryPolicy::default`] and one decision table (DESIGN.md §3.14):
+//! an in-place refusal backs off and re-sends on the same connection; a
+//! broken, cut or corrupted connection — or one owed a reply that reads
+//! nothing for the policy's `read_timeout` — backs off, reconnects,
+//! resumes and re-sends every in-flight frame; whatever the table
+//! surfaces is counted in [`SwarmReport::ops_busy`] /
+//! [`SwarmReport::ops_err`]. The swarm carries out a backoff by
+//! sleeping its thread.
+//!
 //! ```no_run
 //! use bso_client::Swarm;
 //! use bso_objects::{Layout, ObjectInit, Op, Value};
@@ -43,17 +54,16 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use bso_objects::rng::SplitMix64;
 use bso_objects::Op;
 use bso_server::poll::{self, Event, Interest, PollBackend, Poller};
-use bso_server::wire::{self, ErrorCode, Request, Response, TraceContext};
-use bso_telemetry::trace::{TraceArg, TraceWorker};
+use bso_server::wire::{self, ErrorCode, Response};
+use bso_telemetry::trace::TraceWorker;
 
-use crate::resilient::{alloc_tokens, reconnect_worthy};
-use crate::{next_trace_id, ClientError};
+use crate::session::{self, Backoff, Next, Session};
+use crate::{apply_request, apply_span, ClientError, RetryPolicy};
 
 /// Fluent configuration for a [`Swarm`] run.
 #[derive(Clone, Debug)]
@@ -62,13 +72,10 @@ pub struct SwarmBuilder {
     pipeline: usize,
     backend: PollBackend,
     rate: Option<f64>,
-    handshake: bool,
-    nodelay: bool,
     trace: TraceWorker,
     resilient: bool,
     session_base: Option<u64>,
     retry_seed: u64,
-    fallbacks: Vec<std::net::SocketAddr>,
 }
 
 impl Default for SwarmBuilder {
@@ -78,13 +85,10 @@ impl Default for SwarmBuilder {
             pipeline: 1,
             backend: PollBackend::Auto,
             rate: None,
-            handshake: true,
-            nodelay: true,
             trace: TraceWorker::disabled(),
             resilient: false,
             session_base: None,
             retry_seed: 0x5EED,
-            fallbacks: Vec::new(),
         }
     }
 }
@@ -123,23 +127,6 @@ impl SwarmBuilder {
         self
     }
 
-    /// Whether each connection negotiates the wire version with a
-    /// `Hello` round trip before entering the event loop (default
-    /// `true`).
-    #[must_use]
-    pub fn handshake(mut self, yes: bool) -> SwarmBuilder {
-        self.handshake = yes;
-        self
-    }
-
-    /// Whether to disable Nagle's algorithm on every socket (default
-    /// `true`).
-    #[must_use]
-    pub fn nodelay(mut self, yes: bool) -> SwarmBuilder {
-        self.nodelay = yes;
-        self
-    }
-
     /// Attaches a trace track shared by every lane. Each issued apply
     /// is then sent as a `TracedApply` with a fresh `trace_id` and its
     /// round trip recorded as a `client.apply` span, matchable against
@@ -154,12 +141,13 @@ impl SwarmBuilder {
 
     /// Fault-tolerant mode (default `false`). Every lane binds a
     /// session token on connect, keeps the encoded bytes of each
-    /// in-flight request, and treats broken sockets, EOFs mid-pipeline,
-    /// and corrupt response bytes as a cue to reconnect, `Resume`, and
-    /// re-send — the server's reply cache turns the re-sends into
-    /// replays, so effects stay exactly-once (see DESIGN.md §3.14).
-    /// Without it those conditions abort the run, which is what a
-    /// clean-room benchmark wants.
+    /// in-flight request, and follows the decision table in the
+    /// [module docs](self): broken sockets, EOFs, cut handshakes,
+    /// corrupt response bytes and silent connections are a cue to
+    /// reconnect, `Resume`, and re-send — the server's reply cache
+    /// turns the re-sends into replays, so effects stay exactly-once
+    /// (see DESIGN.md §3.14). Without it those conditions abort the
+    /// run, which is what a clean-room benchmark wants.
     #[must_use]
     pub fn resilient(mut self, yes: bool) -> SwarmBuilder {
         self.resilient = yes;
@@ -175,23 +163,11 @@ impl SwarmBuilder {
         self
     }
 
-    /// Seed for the reconnect backoff jitter in resilient mode
-    /// (default `0x5EED`).
+    /// Seed for the backoff jitter in resilient mode (default
+    /// `0x5EED`).
     #[must_use]
     pub fn retry_seed(mut self, seed: u64) -> SwarmBuilder {
         self.retry_seed = seed;
-        self
-    }
-
-    /// Additional cluster members a resilient lane may fail over to
-    /// when its current server stops accepting connections (default
-    /// none). Reconnect attempts rotate through the current address
-    /// and these fallbacks; landing on a different member re-binds the
-    /// lane's session there and re-sends its in-flight frames, and is
-    /// tallied in [`SwarmReport::redirects`].
-    #[must_use]
-    pub fn fallback_addrs(mut self, addrs: Vec<std::net::SocketAddr>) -> SwarmBuilder {
-        self.fallbacks = addrs;
         self
     }
 
@@ -204,19 +180,19 @@ impl SwarmBuilder {
     ///
     /// # Errors
     ///
-    /// Connect/handshake failures and socket-level I/O errors abort
-    /// the run; per-operation server errors do not (they are tallied
-    /// in [`SwarmReport::ops_busy`] / [`SwarmReport::ops_err`]).
+    /// Connect/handshake failures abort the run, and so do socket-level
+    /// I/O errors outside resilient mode; per-operation server errors
+    /// do not (they are tallied in [`SwarmReport::ops_busy`] /
+    /// [`SwarmReport::ops_err`]). In resilient mode the decision table
+    /// handles connection failures instead, and the run fails when a
+    /// lane's reconnect dials keep failing until every op it owed has
+    /// spent its attempts.
     pub fn run(
         self,
         addr: impl ToSocketAddrs,
         workload: impl FnMut(usize, u64) -> Option<(usize, Op)>,
     ) -> Result<SwarmReport, ClientError> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ClientError::Protocol("address resolved to nothing".into()))?;
-        Swarm::new(self, addr)?.drive(workload)
+        Swarm::new(self, session::resolve(addr)?)?.drive(workload)
     }
 }
 
@@ -231,7 +207,8 @@ pub struct SwarmReport {
     /// Operations answered with retryable [`ErrorCode::Busy`]
     /// backpressure.
     pub ops_busy: u64,
-    /// Operations answered with any other typed error.
+    /// Operations answered with any other typed error, and in resilient
+    /// mode operations whose connection failed them for good.
     pub ops_err: u64,
     /// One round trip per `Ok` operation, in nanoseconds. Closed loop
     /// times from request queueing; open loop from the scheduled
@@ -243,9 +220,6 @@ pub struct SwarmReport {
     /// Successful lane reconnects in [`SwarmBuilder::resilient`] mode
     /// (always zero otherwise — a broken socket aborts instead).
     pub reconnects: u64,
-    /// Reconnects that landed on a *different* server than the lane
-    /// was using — failovers via [`SwarmBuilder::fallback_addrs`].
-    pub redirects: u64,
 }
 
 impl SwarmReport {
@@ -271,9 +245,6 @@ struct InflightOp {
     started: Instant,
     /// `(trace_id, start on the trace clock)` for a traced apply.
     trace: Option<(u64, u64)>,
-    /// The encoded request frame, kept only in resilient mode so the
-    /// operation can be re-sent verbatim after a reconnect.
-    frame: Vec<u8>,
 }
 
 /// Per-connection state inside the readiness loop.
@@ -282,16 +253,16 @@ struct Lane {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     wpos: usize,
-    next_id: u64,
     inflight: HashMap<u64, InflightOp>,
     write_armed: bool,
     /// On the swarm's `touched` list (freshly queued bytes to pump).
     dirty: bool,
-    /// Session token this lane binds with `Resume` (resilient mode).
-    token: u64,
-    /// The server this lane is currently connected to (it may move in
-    /// resilient mode when fallbacks are configured).
-    addr: std::net::SocketAddr,
+    /// The lane's `req_id`s; in resilient mode also the retained
+    /// frames and attempt counts its `Resume` and re-sends come from.
+    session: Session,
+    /// Resilient mode: when the lane last read a byte or last became
+    /// owed a reply — its read deadline counts from here.
+    heard: Instant,
 }
 
 impl Lane {
@@ -316,10 +287,10 @@ pub struct Swarm {
     /// Lanes with freshly queued bytes, pumped once per loop turn —
     /// an O(touched) flush instead of an O(connections) scan.
     touched: Vec<usize>,
-    /// The server address, kept for resilient-mode reconnects.
-    addr: std::net::SocketAddr,
-    /// Jitter source for reconnect backoff (resilient mode).
-    rng: SplitMix64,
+    /// The server's addresses, kept for resilient-mode reconnects.
+    addrs: Vec<SocketAddr>,
+    /// The retry policy and jitter source of resilient lanes.
+    backoff: Backoff,
 }
 
 impl Swarm {
@@ -328,27 +299,21 @@ impl Swarm {
         SwarmBuilder::default()
     }
 
-    fn new(cfg: SwarmBuilder, addr: std::net::SocketAddr) -> Result<Swarm, ClientError> {
+    fn new(cfg: SwarmBuilder, addrs: Vec<SocketAddr>) -> Result<Swarm, ClientError> {
         let mut poller = Poller::new(cfg.backend).map_err(ClientError::Io)?;
-        let session_base = if cfg.resilient {
-            cfg.session_base
-                .unwrap_or_else(|| alloc_tokens(cfg.connections as u64))
-        } else {
-            0
+        let backoff = Backoff::new(RetryPolicy::default(), cfg.retry_seed);
+        let (session_base, read_timeout) = match (cfg.resilient, cfg.session_base) {
+            (false, _) => (0, None),
+            (true, base) => (
+                base.unwrap_or_else(|| session::alloc_tokens(cfg.connections as u64)),
+                backoff.policy.read_timeout,
+            ),
         };
         let mut lanes = Vec::with_capacity(cfg.connections);
         for conn in 0..cfg.connections {
-            let token = session_base + conn as u64;
-            let mut stream = TcpStream::connect(addr)?;
-            if cfg.nodelay {
-                stream.set_nodelay(true)?;
-            }
-            if cfg.handshake || cfg.resilient {
-                handshake(&mut stream)?;
-            }
-            if cfg.resilient {
-                resume(&mut stream, token, 0)?;
-            }
+            let session = Session::new(session_base + conn as u64);
+            let resume = cfg.resilient.then_some(&session);
+            let stream = session::connect(&addrs, read_timeout, true, resume)?;
             poll::set_nonblocking(&stream)?;
             poller.register(poll::raw_fd(&stream), conn as u64, Interest::READ)?;
             lanes.push(Lane {
@@ -356,18 +321,13 @@ impl Swarm {
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 wpos: 0,
-                // Resilient lanes start at 1: `Resume { last_acked }`
-                // prunes ids `<= last_acked`, so id 0 would be
-                // indistinguishable from "nothing acked yet".
-                next_id: u64::from(cfg.resilient),
                 inflight: HashMap::new(),
                 write_armed: false,
                 dirty: false,
-                token,
-                addr,
+                session,
+                heard: Instant::now(),
             });
         }
-        let retry_seed = cfg.retry_seed;
         Ok(Swarm {
             cfg,
             poller,
@@ -377,8 +337,8 @@ impl Swarm {
             seq: 0,
             done_issuing: false,
             touched: Vec::new(),
-            addr,
-            rng: SplitMix64::new(retry_seed),
+            addrs,
+            backoff,
         })
     }
 
@@ -399,43 +359,18 @@ impl Swarm {
             return Ok(false);
         };
         self.seq += 1;
-        let trace = self.cfg.trace.is_enabled().then(|| {
-            let trace_id = next_trace_id();
-            (trace_id, self.cfg.trace.now_ns())
-        });
-        let resilient = self.cfg.resilient;
         let lane = &mut self.lanes[conn];
-        let req_id = lane.next_id;
-        lane.next_id += 1;
-        let req = match trace {
-            Some((trace_id, _)) => Request::TracedApply {
-                ctx: TraceContext {
-                    trace_id,
-                    span_id: req_id,
-                },
-                pid: pid as u32,
-                op,
-            },
-            None => Request::Apply {
-                pid: pid as u32,
-                op,
-            },
-        };
+        let req_id = lane.session.next_id();
+        let (req, trace) = apply_request(&self.cfg.trace, req_id, pid, op);
         let mark = lane.wbuf.len();
         wire::encode_request(req_id, &req, &mut lane.wbuf)?;
-        let frame = if resilient {
-            lane.wbuf[mark..].to_vec()
-        } else {
-            Vec::new()
-        };
-        lane.inflight.insert(
-            req_id,
-            InflightOp {
-                started,
-                trace,
-                frame,
-            },
-        );
+        if self.cfg.resilient {
+            if lane.inflight.is_empty() {
+                lane.heard = Instant::now();
+            }
+            lane.session.retain(req_id, lane.wbuf[mark..].to_vec());
+        }
+        lane.inflight.insert(req_id, InflightOp { started, trace });
         if !lane.dirty {
             lane.dirty = true;
             self.touched.push(conn);
@@ -480,13 +415,16 @@ impl Swarm {
     }
 
     /// Reads everything the socket has, consumes complete response
-    /// frames, and (in closed loop) refills the pipeline.
+    /// frames, and (in closed loop) refills the pipeline. Returns the
+    /// backoff before a reconnect when a response's outcome calls for
+    /// one.
     fn pump_read(
         &mut self,
         conn: usize,
         workload: &mut impl FnMut(usize, u64) -> Option<(usize, Op)>,
-    ) -> Result<(), ClientError> {
+    ) -> Result<Option<Duration>, ClientError> {
         let closed_loop = self.cfg.rate.is_none();
+        let resilient = self.cfg.resilient;
         loop {
             let lane = &mut self.lanes[conn];
             let old = lane.rbuf.len();
@@ -494,29 +432,22 @@ impl Swarm {
             let got = match lane.stream.read(&mut lane.rbuf[old..]) {
                 Ok(0) => {
                     lane.rbuf.truncate(old);
-                    if lane.inflight.is_empty() {
+                    if lane.inflight.is_empty() && !resilient {
                         // Graceful close with nothing owed: fine.
-                        return Ok(());
+                        return Ok(None);
                     }
-                    if self.cfg.resilient {
-                        // An I/O-class error so `recover` reconnects.
-                        return Err(ClientError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            format!(
-                                "connection {conn} closed with {} in flight",
-                                lane.inflight.len()
-                            ),
-                        )));
-                    }
-                    return Err(ClientError::Protocol(format!(
-                        "server closed connection {conn} with {} in flight",
-                        lane.inflight.len()
+                    return Err(ClientError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        format!(
+                            "connection {conn} closed with {} in flight",
+                            lane.inflight.len()
+                        ),
                     )));
                 }
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     lane.rbuf.truncate(old);
-                    return Ok(());
+                    return Ok(None);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
                     lane.rbuf.truncate(old);
@@ -525,75 +456,64 @@ impl Swarm {
                 Err(e) => return Err(ClientError::Io(e)),
             };
             lane.rbuf.truncate(old + got);
+            if resilient {
+                lane.heard = Instant::now();
+            }
 
             let mut at = 0;
             let mut refill = 0;
             let mut requeued = false;
             loop {
                 let lane = &mut self.lanes[conn];
-                match wire::split_frame(&lane.rbuf, at)? {
-                    None => break,
-                    Some(range) => {
-                        at = range.end;
-                        let (req_id, resp) = wire::decode_response_current(&lane.rbuf[range])?;
-                        let Some(flight) = lane.inflight.remove(&req_id) else {
-                            return Err(ClientError::Protocol(format!(
-                                "response to unknown req_id {req_id} on connection {conn}"
-                            )));
-                        };
-                        if let Some((trace_id, t0)) = flight.trace {
-                            let dur = self.cfg.trace.now_ns().saturating_sub(t0);
-                            self.cfg.trace.event_at(
-                                t0,
-                                Some(dur),
-                                "client.apply",
-                                [
-                                    ("trace_id", TraceArg::U64(trace_id)),
-                                    ("conn", TraceArg::U64(conn as u64)),
-                                ],
-                            );
+                let Some(range) = wire::split_frame(&lane.rbuf, at)? else {
+                    break;
+                };
+                at = range.end;
+                let (req_id, resp) = wire::decode_response_current(&lane.rbuf[range])?;
+                let Some(flight) = lane.inflight.remove(&req_id) else {
+                    return Err(ClientError::Protocol(format!(
+                        "response to unknown req_id {req_id} on connection {conn}"
+                    )));
+                };
+                if resilient {
+                    match lane.session.settle(req_id, Ok(&resp), &mut self.backoff) {
+                        Next::Done => {}
+                        Next::RetryInPlace(wait) => {
+                            std::thread::sleep(wait);
+                            lane.wbuf.extend_from_slice(lane.session.frame(req_id));
+                            lane.inflight.insert(req_id, flight);
+                            requeued = true;
+                            continue;
                         }
-                        let mut completed = true;
-                        match resp {
-                            Response::Ok(_) => {
-                                self.report.ops_ok += 1;
-                                self.report.rtt_ns.push(
-                                    u64::try_from(flight.started.elapsed().as_nanos())
-                                        .unwrap_or(u64::MAX),
-                                );
-                            }
-                            Response::Err { code, .. }
-                                if self.cfg.resilient && code.retry_in_place() =>
-                            {
-                                // Busy backpressure or a shed deadline:
-                                // not applied yet (or still applying
-                                // behind an in-flight marker). Re-send
-                                // the same req_id — the session reply
-                                // cache converges it to exactly one
-                                // effect.
-                                completed = false;
-                                requeued = true;
-                                let lane = &mut self.lanes[conn];
-                                lane.wbuf.extend_from_slice(&flight.frame);
-                                lane.inflight.insert(req_id, flight);
-                            }
-                            Response::Err {
-                                code: ErrorCode::Busy,
-                                ..
-                            } => {
-                                self.report.ops_busy += 1;
-                            }
-                            Response::Err { .. } => self.report.ops_err += 1,
-                            other => {
-                                return Err(ClientError::Protocol(format!(
-                                    "non-value response to a swarm apply: {other:?}"
-                                )))
-                            }
-                        }
-                        if closed_loop && completed {
-                            refill += 1;
+                        Next::Reconnect(wait) => {
+                            lane.inflight.insert(req_id, flight);
+                            return Ok(Some(wait));
                         }
                     }
+                }
+                if let Some(stamp) = flight.trace {
+                    apply_span(&self.cfg.trace, stamp, ("conn", conn as u64));
+                }
+                match resp {
+                    Response::Ok(_) => {
+                        self.report.ops_ok += 1;
+                        self.report.rtt_ns.push(
+                            u64::try_from(flight.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                        );
+                    }
+                    Response::Err {
+                        code: ErrorCode::Busy,
+                        ..
+                    } => self.report.ops_busy += 1,
+                    Response::Err { .. } => self.report.ops_err += 1,
+                    other => {
+                        return Err(ClientError::Protocol(format!(
+                            "non-value response to a swarm apply: {other:?}"
+                        )))
+                    }
+                }
+                if closed_loop {
+                    refill += 1;
                 }
             }
             let lane = &mut self.lanes[conn];
@@ -610,110 +530,147 @@ impl Swarm {
         }
     }
 
-    /// Resilient-mode error triage: transport failures trigger a
-    /// reconnect-and-resume of just this lane; everything else (and
-    /// every error outside resilient mode) aborts the run.
+    /// Carries out the decision table for `err`, a failure of lane
+    /// `conn`'s connection. Outside resilient mode it ends the run.
+    /// Otherwise it is a failed attempt of every op in flight on the
+    /// lane: the lane reconnects for the ops that retry. A lane left
+    /// with nothing to deliver only drops its socket; the next op
+    /// issued on it fails its write and reconnects then.
     fn recover(
         &mut self,
         conn: usize,
         err: ClientError,
         workload: &mut impl FnMut(usize, u64) -> Option<(usize, Op)>,
     ) -> Result<(), ClientError> {
-        if !self.cfg.resilient || !reconnect_worthy(&err) {
+        if !self.cfg.resilient {
             return Err(err);
         }
-        self.reconnect_lane(conn, workload)
+        match self.charge(conn, &err) {
+            Some(wait) => self.reconnect(conn, wait, workload),
+            None => {
+                self.drop_socket(conn);
+                self.top_up(conn, workload)
+            }
+        }
     }
 
-    /// Tears down lane `conn`'s socket and rebuilds the session on a
-    /// fresh one: backoff-paced connect, `Hello`, `Resume` acking
-    /// everything below the oldest in-flight op, then a verbatim
-    /// re-send of every in-flight frame (completed ones come back as
-    /// replays from the server's reply cache). Closed loop tops the
-    /// pipeline back up afterwards.
-    fn reconnect_lane(
+    /// Settles `err` as one failed attempt of every op in flight on
+    /// lane `conn`. Ops the session gives up on are counted in
+    /// `ops_err`. Returns the longest backoff the rest asked for, or
+    /// `None` when nothing is left in flight.
+    fn charge(&mut self, conn: usize, err: &ClientError) -> Option<Duration> {
+        let lane = &mut self.lanes[conn];
+        let mut wait = None;
+        for id in lane.session.in_flight() {
+            match lane.session.settle(id, Err(err), &mut self.backoff) {
+                Next::Done => {
+                    lane.inflight.remove(&id);
+                    self.report.ops_err += 1;
+                }
+                Next::RetryInPlace(w) | Next::Reconnect(w) => wait = wait.max(Some(w)),
+            }
+        }
+        wait
+    }
+
+    /// Unregisters and shuts down lane `conn`'s socket, discarding
+    /// buffered bytes (the session keeps every in-flight frame).
+    fn drop_socket(&mut self, conn: usize) {
+        let lane = &mut self.lanes[conn];
+        self.poller.deregister(poll::raw_fd(&lane.stream)).ok();
+        lane.stream.shutdown(Shutdown::Both).ok();
+        lane.rbuf.clear();
+        lane.wbuf.clear();
+        lane.wpos = 0;
+        lane.write_armed = false;
+    }
+
+    /// Rebuilds lane `conn`'s connection after `wait`: a fresh socket
+    /// greeted with `Hello` and `Resume` (acking everything below the
+    /// oldest in-flight op), then a verbatim re-send of every in-flight
+    /// frame in id order — completed ones come back as replays from the
+    /// server's reply cache. A failed dial is one more failed attempt
+    /// of every op in flight; when none is left, the run fails with the
+    /// dial's error.
+    fn reconnect(
         &mut self,
         conn: usize,
+        mut wait: Duration,
         workload: &mut impl FnMut(usize, u64) -> Option<(usize, Op)>,
     ) -> Result<(), ClientError> {
-        let token = self.lanes[conn].token;
-        // Only ids at or above the oldest in-flight op may still need a
-        // replay; everything below has been consumed.
-        let last_acked = self.lanes[conn]
-            .inflight
-            .keys()
-            .min()
-            .map(|m| m - 1)
-            .unwrap_or(self.lanes[conn].next_id - 1);
-        self.poller
-            .deregister(poll::raw_fd(&self.lanes[conn].stream))
-            .ok();
-        // Reconnect attempts rotate through the lane's current server
-        // and every configured fallback, starting where the lane was —
-        // a dead member stops absorbing attempts after one miss each
-        // rotation, and a live one picks the session up via `Resume`.
-        let prev = self.lanes[conn].addr;
-        let mut candidates = vec![self.addr];
-        candidates.extend(self.cfg.fallbacks.iter().copied());
-        let start = candidates.iter().position(|a| *a == prev).unwrap_or(0);
-        let mut attempt: u32 = 0;
-        let (stream, chosen) = loop {
-            let target = candidates[(start + attempt as usize) % candidates.len()];
-            attempt += 1;
-            let dial = TcpStream::connect(target)
-                .map_err(ClientError::Io)
-                .and_then(|mut s| {
-                    if self.cfg.nodelay {
-                        s.set_nodelay(true)?;
-                    }
-                    handshake(&mut s)?;
-                    resume(&mut s, token, last_acked)?;
-                    Ok(s)
-                });
-            match dial {
-                Ok(s) => break (s, target),
-                Err(e) if attempt < 30 && reconnect_worthy(&e) => {
-                    // Capped exponential backoff, jittered into the
-                    // upper half — deterministic under `retry_seed`.
-                    let full = (1_000_000u64 << (attempt - 1).min(6)).min(50_000_000);
-                    let jit = full / 2 + self.rng.below(full / 2 + 1);
-                    std::thread::sleep(Duration::from_nanos(jit));
-                }
-                Err(e) => return Err(e),
+        self.drop_socket(conn);
+        let stream = loop {
+            std::thread::sleep(wait);
+            let read_timeout = self.backoff.policy.read_timeout;
+            let session = Some(&self.lanes[conn].session);
+            match session::connect(&self.addrs, read_timeout, true, session) {
+                Ok(stream) => break stream,
+                Err(e) => match self.charge(conn, &e) {
+                    Some(next) => wait = next,
+                    None => return Err(e),
+                },
             }
         };
         poll::set_nonblocking(&stream)?;
         self.poller
             .register(poll::raw_fd(&stream), conn as u64, Interest::READ)?;
-        if chosen != prev {
-            self.report.redirects += 1;
-        }
         let lane = &mut self.lanes[conn];
-        lane.addr = chosen;
         lane.stream = stream;
-        lane.rbuf.clear();
-        lane.wbuf.clear();
-        lane.wpos = 0;
-        lane.write_armed = false;
-        let mut ids: Vec<u64> = lane.inflight.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let frame = lane.inflight[&id].frame.clone();
-            lane.wbuf.extend_from_slice(&frame);
+        lane.heard = Instant::now();
+        for frame in lane.session.frames() {
+            lane.wbuf.extend_from_slice(frame);
         }
         if !lane.dirty {
             lane.dirty = true;
             self.touched.push(conn);
         }
         self.report.reconnects += 1;
-        // Closed loop: responses eaten by the dead socket never ran
-        // their refill, which would shrink the pipeline for good.
+        self.top_up(conn, workload)
+    }
+
+    /// Closed loop: refills lane `conn` to its pipeline depth. Ops a
+    /// dead socket or a give-up took never ran their refill, which
+    /// would shrink the pipeline for good.
+    fn top_up(
+        &mut self,
+        conn: usize,
+        workload: &mut impl FnMut(usize, u64) -> Option<(usize, Op)>,
+    ) -> Result<(), ClientError> {
         if self.cfg.rate.is_none() {
             while self.lanes[conn].inflight.len() < self.cfg.pipeline {
                 if !self.issue(conn, Instant::now(), workload)? {
                     break;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Resilient mode: recovers every lane that has owed a reply for
+    /// the policy's `read_timeout` without reading a byte — a stalled
+    /// peer, or a corrupted length prefix announcing a frame whose
+    /// bytes will never come.
+    fn enforce_read_deadline(
+        &mut self,
+        workload: &mut impl FnMut(usize, u64) -> Option<(usize, Op)>,
+    ) -> Result<(), ClientError> {
+        let Some(limit) = self.backoff.policy.read_timeout else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        for conn in 0..self.lanes.len() {
+            let lane = &self.lanes[conn];
+            if lane.inflight.is_empty() || now.duration_since(lane.heard) < limit {
+                continue;
+            }
+            let err = ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                format!(
+                    "connection {conn} read nothing for {limit:?} with {} in flight",
+                    lane.inflight.len()
+                ),
+            ));
+            self.recover(conn, err, workload)?;
         }
         Ok(())
     }
@@ -787,8 +744,10 @@ impl Swarm {
                     continue;
                 }
                 if ev.readable || ev.error {
-                    if let Err(e) = self.pump_read(conn, &mut workload) {
-                        self.recover(conn, e, &mut workload)?;
+                    match self.pump_read(conn, &mut workload) {
+                        Ok(None) => {}
+                        Ok(Some(wait)) => self.reconnect(conn, wait, &mut workload)?,
+                        Err(e) => self.recover(conn, e, &mut workload)?,
                     }
                 }
                 if ev.writable {
@@ -798,86 +757,13 @@ impl Swarm {
                 }
             }
             events = ready;
+            if self.cfg.resilient {
+                self.enforce_read_deadline(&mut workload)?;
+            }
         }
 
         self.report.elapsed = start.elapsed();
         debug_assert_eq!(self.report.rtt_ns.len() as u64, self.report.ops_ok);
         Ok(self.report)
-    }
-}
-
-/// Blocking `Hello` exchange on a fresh socket, before it goes
-/// nonblocking.
-fn handshake(stream: &mut TcpStream) -> Result<(), ClientError> {
-    let mut buf = Vec::new();
-    wire::encode_request(
-        0,
-        &Request::Hello {
-            version: wire::VERSION,
-        },
-        &mut buf,
-    )?;
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    buf.clear();
-    if !wire::read_frame(stream, &mut buf)? {
-        return Err(ClientError::Protocol(
-            "server closed during version negotiation".into(),
-        ));
-    }
-    let (req_id, resp) = wire::decode_response_current(&buf)?;
-    if req_id != 0 {
-        return Err(ClientError::Protocol(format!(
-            "handshake response carried req_id {req_id}, expected 0"
-        )));
-    }
-    match resp {
-        Response::Hello { version } if version == wire::VERSION => Ok(()),
-        Response::Hello { version } => Err(ClientError::Protocol(format!(
-            "server accepted version {version}, we speak {}",
-            wire::VERSION
-        ))),
-        Response::Err { code, message } => Err(ClientError::Server { code, message }),
-        other => Err(ClientError::Protocol(format!(
-            "non-hello response to a hello: {other:?}"
-        ))),
-    }
-}
-
-/// Blocking `Resume` exchange binding `token` to a fresh socket,
-/// before it goes nonblocking. Uses a `req_id` far outside the lane's
-/// monotonic operation ids.
-fn resume(stream: &mut TcpStream, token: u64, last_acked: u64) -> Result<(), ClientError> {
-    const RESUME_REQ_ID: u64 = u64::MAX - 1;
-    let mut buf = Vec::new();
-    wire::encode_request(
-        RESUME_REQ_ID,
-        &Request::Resume { token, last_acked },
-        &mut buf,
-    )?;
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    buf.clear();
-    if !wire::read_frame(stream, &mut buf)? {
-        return Err(ClientError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed during session resumption",
-        )));
-    }
-    let (req_id, resp) = wire::decode_response_current(&buf)?;
-    if req_id != RESUME_REQ_ID {
-        return Err(ClientError::Protocol(format!(
-            "resume response carried req_id {req_id}, expected {RESUME_REQ_ID}"
-        )));
-    }
-    match resp {
-        Response::Resumed { token: t, .. } if t == token => Ok(()),
-        Response::Resumed { token: t, .. } => Err(ClientError::Protocol(format!(
-            "server resumed session {t}, we bound {token}"
-        ))),
-        Response::Err { code, message } => Err(ClientError::Server { code, message }),
-        other => Err(ClientError::Protocol(format!(
-            "non-resumed response to a resume: {other:?}"
-        ))),
     }
 }

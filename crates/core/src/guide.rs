@@ -24,7 +24,7 @@
 //! > neither."*
 //!
 //! [`bso_hierarchy`] reproduces this landscape: the *possible* side by
-//! exhaustive model checking ([`bso_sim::explore`] — a `Verified`
+//! exhaustive model checking ([`bso_sim::Explorer`] — a `Verified`
 //! outcome covers **every** interleaving, and wait-freedom is decided
 //! as acyclicity of the reachable state graph), the *impossible* side
 //! by refutation ([`bso_sim::refute`] — a concrete counterexample

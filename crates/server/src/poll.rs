@@ -7,7 +7,7 @@
 //! `read`, `close`, and `sched_setaffinity` — all symbols libc already
 //! exports to every Rust program, declared here by hand so the
 //! workspace keeps building with zero external crates. Everything
-//! above this module ([`crate::event_loop`], `bso_client`'s swarm
+//! above this module (the server's event loops, `bso_client`'s swarm
 //! driver) sees only the safe [`Poller`]/[`Waker`] surface.
 //!
 //! Both backends are **level-triggered**: a socket with unread bytes

@@ -12,8 +12,8 @@
 //!
 //! ## The migration barrier
 //!
-//! [`RouteControl`] is the correctness heart of live migration. Every
-//! apply on the serving path runs under a [`RouteControl::guard`] —
+//! `RouteControl` is the correctness heart of live migration. Every
+//! apply on the serving path runs under a `RouteControl::guard` —
 //! a shared (read) lock held across *both* the ownership check and the
 //! object apply — while [`Request::DetachRanges`] takes the exclusive
 //! (write) lock. That makes detach a true barrier: when the detach

@@ -7,7 +7,7 @@
 //! [`ConsensusChecker`], [`SetConsensusChecker`],
 //! [`StepBoundChecker`]), several can be bundled into a
 //! [`CheckerSet`], and an exploration-level
-//! [`TaskSpec`](crate::TaskSpec) maps onto its run-level counterpart
+//! [`TaskSpec`] maps onto its run-level counterpart
 //! via `RunChecker for TaskSpec`. The historical free functions
 //! ([`check_election`] and friends) delegate to the structs.
 //!

@@ -117,9 +117,9 @@ pub struct ExploreConfig {
     pub max_states: usize,
     /// The task specification to enforce at decisions.
     pub spec: TaskSpec,
-    /// Worker threads for the parallel entry points (`0` = one per
-    /// available CPU). [`explore`]/[`explore_symmetric`] ignore this
-    /// and always run single-threaded.
+    /// Worker threads for a parallel run (`0` = one per available
+    /// CPU). A serial run ([`Explorer::parallel`] off) ignores this and
+    /// stays single-threaded.
     pub workers: usize,
     /// Visited-table key representation.
     pub dedup: DedupMode,
@@ -689,7 +689,7 @@ where
 /// The single front door to exhaustive exploration.
 ///
 /// Configure what to explore (`inputs`, `config` or the per-field
-/// shortcuts) and how (`parallel`, `symmetric`), then [`run`]: serial
+/// shortcuts) and how (`parallel`, `symmetric`), then [`Explorer::run`]: serial
 /// vs parallel and plain vs symmetry-reduced are two independent
 /// toggles over one engine, and the report — outcome, stats, worker
 /// resolution — is assembled identically for all four combinations.
