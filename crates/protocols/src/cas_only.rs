@@ -155,9 +155,13 @@ impl Protocol for CasOnlyElection {
 /// the explorer's state space by up to `n!`.
 impl SymmetricProtocol for CasOnlyElection {
     fn symmetry_group(&self) -> Vec<Vec<Pid>> {
-        // n is at most k−1 ≤ 254, but enumerating n! elements is only
-        // worthwhile (or feasible) for small instances; past this the
-        // canonicalization would cost more than it saves.
+        // The explorer compares each successor with all n! − 1
+        // renamings of it, while the unreduced graph has only
+        // 1 + 2n·3^(n−1) states. At n = 8 (40,319 renamings per
+        // successor) a symmetric run of 73 states measured 17–22× the
+        // time of the unreduced fingerprint run of 34,993 (n = 7: ~3×,
+        // n = 6: ~1.2×; 2-vCPU x86-64 Xeon), so past n = 7 no group
+        // is declared.
         if self.n > 7 {
             return Vec::new();
         }

@@ -23,6 +23,7 @@
 use std::io;
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which readiness backend a [`Poller`] uses.
@@ -453,37 +454,38 @@ impl PollTable {
 /// another thread. Cloneable and cheap; a wake while one is already
 /// pending is coalesced by the pipe itself (the write end is
 /// nonblocking, and a full pipe already guarantees a pending wakeup).
+///
+/// Every `Waker` shares ownership of the pipe, so its fds stay open
+/// while any `Waker` can still write to them. A loop that has exited
+/// drops its [`WakeReader`] while peers, the acceptor and the server
+/// handle may still wake it; were the fd closed by then, its number
+/// could name another socket of the process, and the wake byte would
+/// land in that stream.
+#[derive(Clone)]
 pub struct Waker {
-    write_fd: RawFd,
-}
-
-// SAFETY: `write(2)` on a pipe fd is thread-safe; the fd is owned by
-// the paired WakeReader and outlives every Waker clone by construction
-// (the event loop joins before the reader is dropped).
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
-impl Clone for Waker {
-    fn clone(&self) -> Waker {
-        Waker {
-            write_fd: self.write_fd,
-        }
-    }
+    pipe: Arc<Pipe>,
 }
 
 impl Waker {
     /// Wakes the paired [`WakeReader`]'s poller. Never blocks.
     pub fn wake(&self) {
         let byte = 1u8;
-        // SAFETY: writing one byte from a valid stack buffer. EAGAIN
-        // (pipe full) means a wakeup is already pending — success.
-        unsafe { sys::write(self.write_fd, &byte, 1) };
+        // SAFETY: writing one byte from a valid stack buffer to an fd
+        // the shared `Pipe` keeps open. EAGAIN (pipe full) means a
+        // wakeup is already pending — success.
+        unsafe { sys::write(self.pipe.write_fd, &byte, 1) };
     }
 }
 
 /// The read end of a self-pipe, registered in the owning loop's
-/// [`Poller`]. Owns both fds.
+/// [`Poller`].
 pub struct WakeReader {
+    pipe: Arc<Pipe>,
+}
+
+/// Both fds of a self-pipe, closed when the reader and the last
+/// [`Waker`] are gone.
+struct Pipe {
     read_fd: RawFd,
     write_fd: RawFd,
 }
@@ -500,18 +502,21 @@ impl WakeReader {
         if unsafe { sys::pipe2(fds.as_mut_ptr(), sys::O_NONBLOCK | sys::O_CLOEXEC) } < 0 {
             return Err(io::Error::last_os_error());
         }
+        let pipe = Arc::new(Pipe {
+            read_fd: fds[0],
+            write_fd: fds[1],
+        });
         Ok((
             WakeReader {
-                read_fd: fds[0],
-                write_fd: fds[1],
+                pipe: Arc::clone(&pipe),
             },
-            Waker { write_fd: fds[1] },
+            Waker { pipe },
         ))
     }
 
     /// The fd to register for read interest.
     pub fn raw_fd(&self) -> RawFd {
-        self.read_fd
+        self.pipe.read_fd
     }
 
     /// Consumes all pending wake bytes (level-triggered pollers would
@@ -521,7 +526,7 @@ impl WakeReader {
         loop {
             // SAFETY: reading into a valid stack buffer; the fd is
             // nonblocking so this cannot hang.
-            let n = unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
+            let n = unsafe { sys::read(self.pipe.read_fd, buf.as_mut_ptr(), buf.len()) };
             if n < buf.len() as isize {
                 return; // drained (or EAGAIN / EOF)
             }
@@ -529,7 +534,7 @@ impl WakeReader {
     }
 }
 
-impl Drop for WakeReader {
+impl Drop for Pipe {
     fn drop(&mut self) {
         // SAFETY: closing fds we own exactly once.
         unsafe {
@@ -688,6 +693,27 @@ mod tests {
                 .unwrap();
             assert!(events.iter().all(|e| e.token != 99));
         }
+    }
+
+    #[test]
+    fn wakers_keep_the_pipe_open_after_the_reader_is_dropped() {
+        let (reader, waker) = WakeReader::pair().unwrap();
+        let old = [waker.pipe.read_fd, waker.pipe.write_fd];
+        drop(reader);
+        // Had dropping the reader closed the pipe, the next fds opened
+        // could take its numbers, and the wake below would write into
+        // whatever they now name.
+        let (fresh, fresh_waker) = WakeReader::pair().unwrap();
+        assert!(!old.contains(&fresh.raw_fd()));
+        assert!(!old.contains(&fresh_waker.pipe.write_fd));
+        waker.wake();
+        let mut poller = Poller::new(PollBackend::Poll).unwrap();
+        poller.register(fresh.raw_fd(), 7, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(5)))
+            .unwrap();
+        assert!(events.is_empty(), "another pipe's wake must not land here");
     }
 
     #[test]
