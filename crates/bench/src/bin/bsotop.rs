@@ -34,6 +34,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use bso::client::Connection;
+use bso::server::INTROSPECT_SCHEMA;
 use bso_telemetry::json::{self, Json};
 
 const USAGE: &str = "usage: bsotop <addr> [--interval-ms N] [--frames N] \
@@ -110,7 +111,9 @@ struct ShardRow {
     threshold_ns: u64,
 }
 
-/// One differentiable reading of the whole snapshot.
+/// One differentiable reading of a `bso-introspect/v1` snapshot: the
+/// totals, the per-shard rows and the routing section (DESIGN.md
+/// §3.15). Both the single-server and the cluster view read it.
 #[derive(Clone, Default)]
 struct Sample {
     requests: u64,
@@ -119,9 +122,14 @@ struct Sample {
     resumes: u64,
     replays: u64,
     shed: u64,
+    wrong_shard: u64,
     uptime_ms: u64,
     version: String,
     shards: Vec<ShardRow>,
+    routing_enabled: bool,
+    epoch: u64,
+    detaches: u64,
+    owned: Vec<(u64, u64)>,
 }
 
 fn u(doc: &Json, outer: &str, key: &str) -> u64 {
@@ -134,7 +142,7 @@ fn u(doc: &Json, outer: &str, key: &str) -> u64 {
 fn parse_introspect(text: &str) -> Result<Sample, String> {
     let doc = json::parse(text).map_err(|e| format!("introspect response: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bso-introspect/v1") => {}
+        Some(INTROSPECT_SCHEMA) => {}
         other => return Err(format!("unexpected introspect schema {other:?}")),
     }
     let shards = doc
@@ -161,6 +169,20 @@ fn parse_introspect(text: &str) -> Result<Sample, String> {
             }
         })
         .collect();
+    let routing = doc.get("routing");
+    let owned = routing
+        .and_then(|r| r.get("owned"))
+        .and_then(Json::items)
+        .map(|ranges| {
+            ranges
+                .iter()
+                .filter_map(|r| {
+                    let pair = Json::items(r)?;
+                    Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
     Ok(Sample {
         requests: u(&doc, "stats", "requests"),
         responses: u(&doc, "stats", "responses"),
@@ -168,6 +190,7 @@ fn parse_introspect(text: &str) -> Result<Sample, String> {
         resumes: u(&doc, "stats", "resumes"),
         replays: u(&doc, "stats", "replays"),
         shed: u(&doc, "stats", "shed"),
+        wrong_shard: u(&doc, "stats", "wrong_shard"),
         uptime_ms: u(&doc, "server", "uptime_ms"),
         version: doc
             .get("server")
@@ -176,6 +199,13 @@ fn parse_introspect(text: &str) -> Result<Sample, String> {
             .unwrap_or("?")
             .to_string(),
         shards,
+        routing_enabled: matches!(
+            routing.and_then(|r| r.get("enabled")),
+            Some(Json::Bool(true))
+        ),
+        epoch: u(&doc, "routing", "epoch"),
+        detaches: u(&doc, "routing", "detaches"),
+        owned,
     })
 }
 
@@ -271,73 +301,6 @@ fn run_poll(cfg: &Config) -> Result<(), String> {
     }
 }
 
-/// One differentiable reading of one cluster member: serving totals
-/// plus the routing section (DESIGN.md §3.15).
-#[derive(Clone, Default)]
-struct MemberSample {
-    up: bool,
-    requests: u64,
-    wrong_shard: u64,
-    shed: u64,
-    conns: u64,
-    routing_enabled: bool,
-    epoch: u64,
-    detaches: u64,
-    owned: Vec<(u64, u64)>,
-}
-
-fn parse_member(text: &str) -> Result<MemberSample, String> {
-    let doc = json::parse(text).map_err(|e| format!("introspect response: {e}"))?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("bso-introspect/v1") => {}
-        other => return Err(format!("unexpected introspect schema {other:?}")),
-    }
-    let conns = doc
-        .get("shards")
-        .and_then(Json::items)
-        .map(|shards| {
-            shards
-                .iter()
-                .filter_map(|s| s.get("conns").and_then(Json::as_u64))
-                .sum()
-        })
-        .unwrap_or(0);
-    let routing = doc.get("routing");
-    let owned = routing
-        .and_then(|r| r.get("owned"))
-        .and_then(Json::items)
-        .map(|ranges| {
-            ranges
-                .iter()
-                .filter_map(|r| {
-                    let pair = Json::items(r)?;
-                    Some((pair.first()?.as_u64()?, pair.get(1)?.as_u64()?))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    Ok(MemberSample {
-        up: true,
-        requests: u(&doc, "stats", "requests"),
-        wrong_shard: u(&doc, "stats", "wrong_shard"),
-        shed: u(&doc, "stats", "shed"),
-        conns,
-        routing_enabled: matches!(
-            routing.and_then(|r| r.get("enabled")),
-            Some(Json::Bool(true))
-        ),
-        epoch: routing
-            .and_then(|r| r.get("epoch"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        detaches: routing
-            .and_then(|r| r.get("detaches"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        owned,
-    })
-}
-
 /// Renders `[(0,4),(9,u64::MAX)]` as `0-4,9-max`.
 fn render_ranges(owned: &[(u64, u64)]) -> String {
     if owned.is_empty() {
@@ -357,15 +320,16 @@ fn render_ranges(owned: &[(u64, u64)]) -> String {
         .join(",")
 }
 
+/// One cluster frame; a member whose scrape failed is `None`.
 fn render_cluster(
     addrs: &[String],
-    now: &[MemberSample],
-    prev: &[MemberSample],
+    now: &[Option<Sample>],
+    prev: &[Option<Sample>],
     dt: Duration,
     frame: u64,
 ) {
     clear_frame(frame == 0);
-    let epochs: Vec<u64> = now.iter().filter(|m| m.up).map(|m| m.epoch).collect();
+    let epochs: Vec<u64> = now.iter().flatten().map(|m| m.epoch).collect();
     let converged = epochs.windows(2).all(|w| w[0] == w[1]);
     println!(
         "bso-cluster — {} members, {} up, epoch {}{}",
@@ -381,13 +345,13 @@ fn render_cluster(
     println!(
         "member                 state     epoch  detaches   req/s  wrongshard/s  shed/s  conns  owned"
     );
+    let empty = Sample::default();
     for (i, addr) in addrs.iter().enumerate() {
-        let m = &now[i];
-        let p = prev.get(i).cloned().unwrap_or_default();
-        if !m.up {
+        let Some(m) = &now[i] else {
             println!("{addr:<22} down");
             continue;
-        }
+        };
+        let p = prev[i].as_ref().unwrap_or(&empty);
         println!(
             "{:<22} {:<9} {:>5}  {:>8}  {:>6.0}  {:>12.0}  {:>6.0}  {:>5}  {}",
             addr,
@@ -401,7 +365,7 @@ fn render_cluster(
             rate(m.requests, p.requests, dt),
             rate(m.wrong_shard, p.wrong_shard, dt),
             rate(m.shed, p.shed, dt),
-            m.conns,
+            m.shards.iter().map(|s| s.conns).sum::<u64>(),
             render_ranges(&m.owned),
         );
     }
@@ -421,7 +385,7 @@ fn run_cluster(cfg: &Config) -> Result<(), String> {
     // One connection slot per member, re-dialed whenever polling fails
     // — members may die and come back under us.
     let mut conns: Vec<Option<Connection>> = addrs.iter().map(|_| None).collect();
-    let mut prev: Vec<MemberSample> = vec![MemberSample::default(); addrs.len()];
+    let mut prev: Vec<Option<Sample>> = vec![None; addrs.len()];
     let mut last_at: Option<Instant> = None;
     let mut frame = 0u64;
     loop {
@@ -433,14 +397,11 @@ fn run_cluster(cfg: &Config) -> Result<(), String> {
             let sample = conns[i]
                 .as_mut()
                 .and_then(|c| c.introspect().ok())
-                .and_then(|text| parse_member(&text).ok());
-            match sample {
-                Some(s) => samples.push(s),
-                None => {
-                    conns[i] = None;
-                    samples.push(MemberSample::default());
-                }
+                .and_then(|text| parse_introspect(&text).ok());
+            if sample.is_none() {
+                conns[i] = None;
             }
+            samples.push(sample);
         }
         let now = Instant::now();
         let dt = last_at.map_or(cfg.interval, |at| now.duration_since(at));

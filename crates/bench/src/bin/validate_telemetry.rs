@@ -1,4 +1,4 @@
-//! Validates `bso-telemetry` observability artifacts.
+//! Validates the observability artifacts the workspace writes.
 //!
 //! ```text
 //! validate_telemetry <snapshot.json> [min_total] [prefix=N ...]
@@ -7,58 +7,46 @@
 //! validate_telemetry --checkpoint <cp.json>
 //! validate_telemetry --serve <snapshot.json> [BENCH_serve.json]
 //! validate_telemetry --explore <BENCH_explore.json>
-//! validate_telemetry --introspect
-//! validate_telemetry --chaos
-//! validate_telemetry --cluster
 //! ```
 //!
-//! The default mode exits nonzero unless the file parses as a
-//! `bso-telemetry/v1` document whose metrics all carry a known type,
-//! holds at least `min_total` metrics (a bare number), and, for each
-//! `prefix=N` argument, has at least `N` metrics whose names start
-//! with `prefix`. `--trace` checks a `BSO_TRACE` export for Chrome
-//! trace-event shape (phases, ids, timestamps) with at least
-//! `min_events` data events; `--progress` checks a `BSO_PROGRESS`
-//! stream for well-formed `bso-progress/v1` heartbeats; `--checkpoint`
-//! checks that a `BSO_CHECKPOINT` file is a loadable, resumable
-//! `bso-checkpoint/v1` document with a non-empty frontier; `--serve`
-//! checks a snapshot captured from a live `bso-server` run for the
-//! `server.*` metric contract (request accounting that balances,
-//! per-shard queue-depth gauges, latency histograms with consistent
-//! quantiles), and with an optional second file also checks a
-//! `BENCH_serve.json` for the `bso-serve-bench/v2` shape — including
-//! that the peak latency distribution holds exactly one sample per
-//! successful op; `--explore` checks a `BENCH_explore.json` written by
-//! the explore bench for record shape *and* for the partial-order
-//! reduction acceptance bar (a ≥ 10× state cut at k ≥ 6), so a
-//! reduction regression fails the build instead of silently eroding
-//! the speedup; `--introspect` is self-contained — it starts a
-//! loopback `bso-server`, scrapes the wire-level `Introspect` request
-//! *while traffic is flowing*, and validates the `bso-introspect/v1`
-//! snapshot (key presence, quantile ordering, exactly one per-shard
-//! entry per configured shard — the DESIGN.md §3.13 contract);
-//! `--chaos` is likewise self-contained — it starts a loopback
-//! `bso-server` and drives the DESIGN.md §3.14 fault-recovery
-//! contract deterministically over a raw wire connection: a `Resume`
-//! session bind, a duplicate-`req_id` retry that must be *replayed*
-//! from the reply cache (not re-applied), and a zero-budget
-//! `DeadlineApply` that must be shed with a typed `Expired` — then
-//! checks that the `Introspect` snapshot and shutdown stats account
-//! for all three (`resumes`, `replays`, `sessions`, and aggregate
-//! plus per-shard `shed`); `--cluster` is also self-contained — it
-//! launches a three-member `bso-cluster`, serves recorded traffic
-//! through one live shard migration and one evacuated-member kill,
-//! and checks the DESIGN.md §3.15 contract: typed `WrongShard`
-//! redirects observed, routing epochs monotone at every member,
-//! per-object ledgers exactly balancing the acked increments, and
-//! the merged multi-server history linearizable. CI runs all nine
-//! over the artifacts the examples, the loadgen smoke job and the
-//! smoke bench write.
+//! Six modes, each reading files a run left behind:
+//!
+//! * the default mode exits nonzero unless the file is a
+//!   `bso-telemetry/v1` snapshot whose metrics all carry a known type,
+//!   holds at least `min_total` metrics (a bare number), and, for each
+//!   `prefix=N` argument, has at least `N` metrics whose names start
+//!   with `prefix`;
+//! * `--trace` checks a `BSO_TRACE` export for Chrome trace-event
+//!   shape (phases, ids, timestamps) with at least `min_events` data
+//!   events;
+//! * `--progress` checks a `BSO_PROGRESS` stream for well-formed
+//!   `bso-progress/v1` heartbeats;
+//! * `--checkpoint` checks that a `BSO_CHECKPOINT` file is a loadable
+//!   `bso-checkpoint/v1` document with a non-empty frontier;
+//! * `--serve` checks a snapshot captured from a live `bso-server` run
+//!   for the `server.*` metric contract (request accounting that
+//!   balances, per-shard queue-depth gauges, latency histograms with
+//!   consistent quantiles), and with a second file also checks a
+//!   `BENCH_serve.json` for the `bso-serve-bench/v2` shape, including
+//!   that the peak latency distribution holds exactly one sample per
+//!   successful op;
+//! * `--explore` checks a `BENCH_explore.json` written by the explore
+//!   bench for record shape *and* for the partial-order reduction
+//!   acceptance bar (a ≥ 10× state cut at k ≥ 6), so a reduction
+//!   regression fails the build instead of silently eroding the
+//!   speedup.
+//!
+//! The live serving contracts (DESIGN.md §3.13–§3.15: `Introspect`,
+//! fault recovery, cluster routing) are checked by the tests that
+//! drive them, under `cargo test`. CI runs these six modes over the
+//! artifacts the examples, the loadgen smoke job and the smoke bench
+//! write.
 
 use std::process::ExitCode;
 
 use bso::sim::Checkpoint;
 use bso_telemetry::json::{self, Json};
+use bso_telemetry::{progress, trace};
 
 fn main() -> ExitCode {
     match run() {
@@ -76,56 +64,59 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage: validate_telemetry <snapshot.json> [min_total] [prefix=N ...] \
      | --trace <trace.json> [min_events] | --progress <progress.jsonl> [min_lines] \
      | --checkpoint <cp.json> | --serve <snapshot.json> [BENCH_serve.json] \
-     | --explore <BENCH_explore.json> | --introspect | --chaos | --cluster";
+     | --explore <BENCH_explore.json>";
 
 fn run() -> Result<String, String> {
     let mut args = std::env::args().skip(1);
-    let path = args.next().ok_or(USAGE)?;
-    if path == "--trace" {
-        let file = args.next().ok_or(USAGE)?;
-        let min = parse_count(args.next())?;
-        return validate_trace(&file, min);
+    let mode = args.next().ok_or(USAGE)?;
+    if !mode.starts_with("--") {
+        return validate_snapshot(&mode, args);
     }
-    if path == "--progress" {
-        let file = args.next().ok_or(USAGE)?;
-        let min = parse_count(args.next())?;
-        return validate_progress(&file, min);
+    let file = args.next().ok_or(USAGE)?;
+    match mode.as_str() {
+        "--trace" => validate_trace(&file, parse_count(args.next())?),
+        "--progress" => validate_progress(&file, parse_count(args.next())?),
+        "--checkpoint" => validate_checkpoint(&file),
+        "--serve" => {
+            let summary = validate_serve(&file)?;
+            match args.next() {
+                Some(bench) => Ok(format!("{summary}\n{}", validate_serve_bench(&bench)?)),
+                None => Ok(summary),
+            }
+        }
+        "--explore" => validate_explore(&file),
+        _ => Err(USAGE.to_string()),
     }
-    if path == "--checkpoint" {
-        let file = args.next().ok_or(USAGE)?;
-        return validate_checkpoint(&file);
-    }
-    if path == "--serve" {
-        let file = args.next().ok_or(USAGE)?;
-        let summary = validate_serve(&file)?;
-        return match args.next() {
-            Some(bench) => Ok(format!("{summary}\n{}", validate_serve_bench(&bench)?)),
-            None => Ok(summary),
-        };
-    }
-    if path == "--explore" {
-        let file = args.next().ok_or(USAGE)?;
-        return validate_explore(&file);
-    }
-    if path == "--introspect" {
-        return validate_introspect();
-    }
-    if path == "--chaos" {
-        return validate_chaos();
-    }
-    if path == "--cluster" {
-        return validate_cluster();
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+}
 
-    if !matches!(doc.get("schema"), Some(Json::Str(s)) if s == "bso-telemetry/v1") {
-        return Err(format!("{path}: missing or unknown \"schema\""));
+/// Reads and parses the JSON document at `path`.
+fn read_json(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Reads the JSON document at `path`, which must name `want` under
+/// its top-level `key` (its schema tag).
+fn load(path: &str, key: &str, want: &str) -> Result<Json, String> {
+    let doc = read_json(path)?;
+    if doc.get(key).and_then(Json::as_str) != Some(want) {
+        return Err(format!("{path}: missing or unknown {key:?}"));
     }
-    let metrics = doc
-        .get("metrics")
+    Ok(doc)
+}
+
+/// The metrics of the `bso-telemetry/v1` snapshot `doc`.
+fn metrics_of<'a>(doc: &'a Json, path: &str) -> Result<&'a [(String, Json)], String> {
+    doc.get("metrics")
         .and_then(Json::entries)
-        .ok_or_else(|| format!("{path}: \"metrics\" is missing or not an object"))?;
+        .ok_or_else(|| format!("{path}: \"metrics\" is missing or not an object"))
+}
+
+/// The default mode: a `BSO_TELEMETRY` snapshot with enough metrics of
+/// known types, overall and per name prefix.
+fn validate_snapshot(path: &str, floors: impl Iterator<Item = String>) -> Result<String, String> {
+    let doc = load(path, "schema", bso_telemetry::SCHEMA)?;
+    let metrics = metrics_of(&doc, path)?;
     for (name, m) in metrics {
         let known = matches!(
             m.get("type"),
@@ -136,7 +127,7 @@ fn run() -> Result<String, String> {
         }
     }
 
-    for arg in args {
+    for arg in floors {
         match arg.split_once('=') {
             Some((prefix, n)) => {
                 let want: usize = n
@@ -179,15 +170,8 @@ fn parse_count(arg: Option<String>) -> Result<usize, String> {
 
 /// Checks a `BSO_TRACE` export for Chrome trace-event shape.
 fn validate_trace(path: &str, min_events: usize) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if !matches!(doc.get("schema"), Some(Json::Str(s)) if s == "bso-trace/v1") {
-        return Err(format!("{path}: missing or unknown \"schema\""));
-    }
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::items)
-        .ok_or_else(|| format!("{path}: \"traceEvents\" is missing or not an array"))?;
+    let doc = read_json(path)?;
+    let events = trace::events_of(&doc, path)?;
     let mut data_events = 0;
     for (i, e) in events.iter().enumerate() {
         let ph = e
@@ -238,19 +222,6 @@ fn validate_checkpoint(path: &str) -> Result<String, String> {
     if cp.frontier.is_empty() {
         return Err(format!("{path}: checkpoint has an empty frontier"));
     }
-    for (i, entry) in cp.frontier.iter().enumerate() {
-        for c in &entry.crashes {
-            if c.at > entry.schedule.len() {
-                return Err(format!(
-                    "{path}: frontier entry #{i} crashes p{} after step {} of a \
-                     {}-step schedule",
-                    c.pid,
-                    c.at,
-                    entry.schedule.len()
-                ));
-            }
-        }
-    }
     Ok(format!(
         "{path}: ok ({:?} interrupted by {} at {} states, {} frontier entries)",
         cp.protocol,
@@ -263,15 +234,8 @@ fn validate_checkpoint(path: &str) -> Result<String, String> {
 /// Checks a snapshot from a live `bso-server` run for the `server.*`
 /// metric contract.
 fn validate_serve(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if !matches!(doc.get("schema"), Some(Json::Str(s)) if s == "bso-telemetry/v1") {
-        return Err(format!("{path}: missing or unknown \"schema\""));
-    }
-    let metrics = doc
-        .get("metrics")
-        .and_then(Json::entries)
-        .ok_or_else(|| format!("{path}: \"metrics\" is missing or not an object"))?;
+    let doc = load(path, "schema", bso_telemetry::SCHEMA)?;
+    let metrics = metrics_of(&doc, path)?;
     let counter = |name: &str| -> Result<u64, String> {
         let m = metrics
             .iter()
@@ -372,11 +336,7 @@ fn validate_serve(path: &str) -> Result<String, String> {
 /// counts *exactly* one sample per successful op, and a non-empty
 /// latency-under-load curve with ordered quantiles per point.
 fn validate_serve_bench(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if !matches!(doc.get("schema"), Some(Json::Str(s)) if s == "bso-serve-bench/v2") {
-        return Err(format!("{path}: missing or unknown \"schema\""));
-    }
+    let doc = load(path, "schema", "bso-serve-bench/v2")?;
     let peak = doc
         .get("peak")
         .ok_or_else(|| format!("{path}: no \"peak\" block"))?;
@@ -521,11 +481,7 @@ fn validate_serve_bench(path: &str) -> Result<String, String> {
 /// shape, the groups the acceptance checks read, and the DPOR state
 /// cuts (strictly fewer states everywhere it ran, ≥ 10× at k ≥ 6).
 fn validate_explore(path: &str) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if !matches!(doc.get("bench"), Some(Json::Str(s)) if s == "explore") {
-        return Err(format!("{path}: missing or unknown \"bench\""));
-    }
+    let doc = load(path, "bench", "explore")?;
     let records = doc
         .get("records")
         .and_then(Json::items)
@@ -611,7 +567,7 @@ fn validate_progress(path: &str, min_lines: usize) -> Result<String, String> {
             continue;
         }
         let doc = json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        if !matches!(doc.get("schema"), Some(Json::Str(s)) if s == "bso-progress/v1") {
+        if doc.get("schema").and_then(Json::as_str) != Some(progress::SCHEMA) {
             return Err(format!("{path}:{}: missing or unknown \"schema\"", i + 1));
         }
         for key in ["seq", "elapsed_ms", "states", "frontier"] {
@@ -627,513 +583,4 @@ fn validate_progress(path: &str, min_lines: usize) -> Result<String, String> {
         ));
     }
     Ok(format!("{path}: ok ({lines} heartbeats)"))
-}
-
-/// The self-contained `Introspect` contract check: a loopback server
-/// is scraped over the wire while traffic flows, and the snapshot
-/// must match the `bso-introspect/v1` schema of DESIGN.md §3.13 —
-/// key presence, ordered quantiles, and exactly one per-shard entry
-/// per configured shard.
-fn validate_introspect() -> Result<String, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    use bso::client::Connection;
-    use bso::objects::{Layout, ObjectId, ObjectInit, Op, OpKind};
-    use bso::server::Server;
-
-    const SHARDS: usize = 2;
-    // One counter per shard, so traffic exercises every event loop.
-    let mut layout = Layout::new();
-    for _ in 0..SHARDS {
-        layout.push(ObjectInit::FetchAdd(0));
-    }
-    let handle = Server::builder()
-        .shards(SHARDS)
-        .pin_cores(false)
-        .bind("127.0.0.1:0", &layout)
-        .map_err(|e| format!("bind: {e}"))?;
-    let addr = handle.local_addr();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let traffic = std::thread::spawn(move || -> Result<u64, String> {
-        let mut conn = Connection::builder()
-            .connect(addr)
-            .map_err(|e| format!("traffic connect: {e}"))?;
-        let mut sent = 0u64;
-        while !flag.load(Ordering::Relaxed) {
-            for obj in 0..SHARDS {
-                conn.apply(0, Op::new(ObjectId(obj), OpKind::FetchAdd(1)))
-                    .map_err(|e| format!("traffic apply: {e}"))?;
-                sent += 1;
-            }
-        }
-        Ok(sent)
-    });
-
-    // Scrape from a second connection, mid-traffic.
-    let scrape = (|| -> Result<String, String> {
-        let mut conn = Connection::builder()
-            .connect(addr)
-            .map_err(|e| format!("connect: {e}"))?;
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        conn.introspect().map_err(|e| format!("introspect: {e}"))
-    })();
-    stop.store(true, Ordering::Relaxed);
-    let sent = traffic.join().expect("traffic thread panicked")?;
-    let text = scrape?;
-
-    let doc = json::parse(&text).map_err(|e| format!("introspect: {e}"))?;
-    if !matches!(doc.get("schema"), Some(Json::Str(s)) if s == "bso-introspect/v1") {
-        return Err("introspect: missing or unknown \"schema\"".to_string());
-    }
-    let config = doc.get("config").ok_or("introspect: no \"config\"")?;
-    if config.get("shards").and_then(Json::as_u64) != Some(SHARDS as u64) {
-        return Err(format!("introspect: config.shards != {SHARDS}"));
-    }
-    for key in ["backend", "pin_cores", "queue_capacity", "read_chunk"] {
-        if config.get(key).is_none() {
-            return Err(format!("introspect: config lacks {key:?}"));
-        }
-    }
-    let server = doc.get("server").ok_or("introspect: no \"server\"")?;
-    for key in ["crate", "uptime_ms", "version", "wire"] {
-        if server.get(key).is_none() {
-            return Err(format!("introspect: server lacks {key:?}"));
-        }
-    }
-    let requests = doc
-        .get("stats")
-        .and_then(|s| s.get("requests"))
-        .and_then(Json::as_u64)
-        .ok_or("introspect: no integer stats.requests")?;
-    if requests == 0 {
-        return Err("introspect: stats.requests is 0 mid-traffic".to_string());
-    }
-
-    let shards = doc
-        .get("shards")
-        .and_then(Json::items)
-        .ok_or("introspect: no \"shards\" array")?;
-    if shards.len() != SHARDS {
-        return Err(format!(
-            "introspect: {} shard entries for {SHARDS} shards",
-            shards.len()
-        ));
-    }
-    let mut applies = 0u64;
-    for (i, entry) in shards.iter().enumerate() {
-        if entry.get("shard").and_then(Json::as_u64) != Some(i as u64) {
-            return Err(format!("introspect: shard entry {i} misnumbered"));
-        }
-        for key in ["conns", "queue_depth", "wakeups"] {
-            if entry.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("introspect: shard {i} lacks integer {key:?}"));
-            }
-        }
-        for hist in ["apply_ns", "elect_ns", "flush_batch", "turn_ns"] {
-            let h = entry
-                .get(hist)
-                .ok_or_else(|| format!("introspect: shard {i} lacks {hist:?}"))?;
-            let field = |key: &str| {
-                h.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("introspect: shard {i} {hist}.{key} missing"))
-            };
-            let count = field("count")?;
-            field("sum")?;
-            let (min, p50, p90, p99, max) = (
-                field("min")?,
-                field("p50")?,
-                field("p90")?,
-                field("p99")?,
-                field("max")?,
-            );
-            if count > 0 && !(min <= p50 && p50 <= p90 && p90 <= p99 && p99 <= max) {
-                return Err(format!(
-                    "introspect: shard {i} {hist} quantiles out of order: \
-                     min {min}, p50 {p50}, p90 {p90}, p99 {p99}, max {max}"
-                ));
-            }
-            if hist == "apply_ns" {
-                applies += count;
-            }
-        }
-        let flight = entry
-            .get("flight")
-            .ok_or_else(|| format!("introspect: shard {i} lacks \"flight\""))?;
-        for key in ["seq", "slow_dropped", "threshold_ns"] {
-            if flight.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!(
-                    "introspect: shard {i} flight lacks integer {key:?}"
-                ));
-            }
-        }
-        for key in ["recent", "slow"] {
-            if flight.get(key).and_then(Json::items).is_none() {
-                return Err(format!("introspect: shard {i} flight lacks array {key:?}"));
-            }
-        }
-    }
-    if applies == 0 {
-        return Err("introspect: no applies recorded on any shard mid-traffic".to_string());
-    }
-
-    let stats = handle.shutdown();
-    if stats.requests != stats.responses {
-        return Err(format!(
-            "server answered {} of {} requests",
-            stats.responses, stats.requests
-        ));
-    }
-    Ok(format!(
-        "introspect contract ok: {SHARDS} shards, {requests} requests in snapshot, \
-         {sent} traffic ops drained"
-    ))
-}
-
-/// The self-contained fault-recovery contract check (DESIGN.md
-/// §3.14): every recovery path the chaos harness exercises
-/// probabilistically is forced here *deterministically*, over a raw
-/// wire connection, and the accounting is checked end to end — in
-/// the live `Introspect` snapshot and in the shutdown stats.
-///
-/// The script: bind a session (`Resume`), apply an effectful op
-/// under it, shed a zero-budget `DeadlineApply` with a typed
-/// `Expired`, then "crash" (drop the socket), reconnect, resume, and
-/// retry the effectful op with its original `req_id`. The retry must
-/// be replayed from the per-session reply cache — the counter must
-/// show exactly one application — and the server must report
-/// `resumes`, `replays`, `sessions`, and `shed` (aggregate and
-/// per-shard) for all of it.
-fn validate_chaos() -> Result<String, String> {
-    use std::io::Write;
-    use std::net::TcpStream;
-
-    use bso::objects::{Layout, ObjectId, ObjectInit, Op, OpKind, Value};
-    use bso::server::{wire, ErrorCode, Request, Response, Server};
-
-    fn send(c: &mut TcpStream, id: u64, req: &Request) -> Result<(), String> {
-        let mut buf = Vec::new();
-        wire::encode_request(id, req, &mut buf).map_err(|e| format!("chaos: encode: {e}"))?;
-        c.write_all(&buf).map_err(|e| format!("chaos: send: {e}"))
-    }
-    fn recv(c: &mut TcpStream) -> Result<(u64, Response), String> {
-        let mut body = Vec::new();
-        if !wire::read_frame(c, &mut body).map_err(|e| format!("chaos: read: {e}"))? {
-            return Err("chaos: unexpected EOF mid-conversation".to_string());
-        }
-        wire::decode_response(&body).map_err(|e| format!("chaos: decode: {e}"))
-    }
-
-    const SHARDS: usize = 2;
-    let mut layout = Layout::new();
-    for _ in 0..SHARDS {
-        layout.push(ObjectInit::FetchAdd(0));
-    }
-    let handle = Server::builder()
-        .shards(SHARDS)
-        .pin_cores(false)
-        .bind("127.0.0.1:0", &layout)
-        .map_err(|e| format!("chaos: bind: {e}"))?;
-    let addr = handle.local_addr();
-
-    let token = 0xC4A0_5EEDu64;
-    let add = Request::Apply {
-        pid: 0,
-        op: Op::new(ObjectId(0), OpKind::FetchAdd(7)),
-    };
-
-    // Life 1: bind the session, apply one effectful op, and get one
-    // zero-budget op shed.
-    let mut c = TcpStream::connect(addr).map_err(|e| format!("chaos: connect: {e}"))?;
-    send(
-        &mut c,
-        1,
-        &Request::Resume {
-            token,
-            last_acked: 0,
-        },
-    )?;
-    match recv(&mut c)? {
-        (
-            1,
-            Response::Resumed {
-                token: t,
-                cached: 0,
-            },
-        ) if t == token => {}
-        other => return Err(format!("chaos: fresh resume answered {other:?}")),
-    }
-    send(&mut c, 2, &add)?;
-    if recv(&mut c)? != (2, Response::Ok(Value::Int(0))) {
-        return Err("chaos: first application did not see pre-state 0".to_string());
-    }
-    send(
-        &mut c,
-        3,
-        &Request::DeadlineApply {
-            budget_us: 0,
-            pid: 0,
-            op: Op::new(ObjectId(0), OpKind::FetchAdd(1)),
-        },
-    )?;
-    match recv(&mut c)? {
-        (
-            3,
-            Response::Err {
-                code: ErrorCode::Expired,
-                ..
-            },
-        ) => {}
-        other => {
-            return Err(format!(
-                "chaos: zero-budget op answered {other:?}, not Expired"
-            ))
-        }
-    }
-    // The "crash": the ack for req 2 was sent but (we pretend) never
-    // processed, so the client comes back only sure of req 1.
-    drop(c);
-
-    // Life 2: resume the session and retry req 2 verbatim. The reply
-    // cache must answer — the original pre-state, not a re-applied 7.
-    let mut c2 = TcpStream::connect(addr).map_err(|e| format!("chaos: reconnect: {e}"))?;
-    send(
-        &mut c2,
-        10,
-        &Request::Resume {
-            token,
-            last_acked: 1,
-        },
-    )?;
-    match recv(&mut c2)? {
-        (
-            10,
-            Response::Resumed {
-                token: t,
-                cached: 1,
-            },
-        ) if t == token => {}
-        other => return Err(format!("chaos: re-resume answered {other:?}")),
-    }
-    send(&mut c2, 2, &add)?;
-    if recv(&mut c2)? != (2, Response::Ok(Value::Int(0))) {
-        return Err("chaos: retry was not replayed from the cache".to_string());
-    }
-    send(
-        &mut c2,
-        11,
-        &Request::Apply {
-            pid: 0,
-            op: Op::new(ObjectId(0), OpKind::FetchAdd(0)),
-        },
-    )?;
-    if recv(&mut c2)? != (11, Response::Ok(Value::Int(7))) {
-        return Err("chaos: duplicate retry was applied twice (exactly-once broken)".to_string());
-    }
-
-    // The introspection plane must account for all of the above.
-    send(&mut c2, 12, &Request::Introspect)?;
-    let text = match recv(&mut c2)? {
-        (12, Response::Introspect(json)) => json,
-        other => return Err(format!("chaos: introspect answered {other:?}")),
-    };
-    let doc = json::parse(&text).map_err(|e| format!("chaos: introspect: {e}"))?;
-    let stats = doc
-        .get("stats")
-        .ok_or("chaos: introspect has no \"stats\"")?;
-    let stat = |key: &str| {
-        stats
-            .get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("chaos: no integer stats.{key}"))
-    };
-    for (key, want) in [("resumes", 2), ("replays", 1), ("sessions", 1), ("shed", 1)] {
-        let got = stat(key)?;
-        if got < want {
-            return Err(format!("chaos: stats.{key} = {got}, expected >= {want}"));
-        }
-    }
-    let shards = doc
-        .get("shards")
-        .and_then(Json::items)
-        .ok_or("chaos: introspect has no \"shards\" array")?;
-    let mut shard_shed = 0u64;
-    for (i, entry) in shards.iter().enumerate() {
-        shard_shed += entry
-            .get("shed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("chaos: shard {i} lacks integer \"shed\""))?;
-    }
-    if shard_shed != stat("shed")? {
-        return Err(format!(
-            "chaos: per-shard shed sums to {shard_shed}, stats.shed says {}",
-            stat("shed")?
-        ));
-    }
-    drop(c2);
-
-    let stats = handle.shutdown();
-    if stats.requests != stats.responses {
-        return Err(format!(
-            "chaos: server answered {} of {} requests",
-            stats.responses, stats.requests
-        ));
-    }
-    let checks = [
-        ("resumes", stats.resumes, 2),
-        ("replays", stats.replays, 1),
-        ("shed", stats.shed, 1),
-        ("malformed", stats.malformed, 0),
-        ("version_rejects", stats.version_rejects, 0),
-    ];
-    for (name, got, want) in checks {
-        if got != want {
-            return Err(format!(
-                "chaos: shutdown stats.{name} = {got}, expected {want}"
-            ));
-        }
-    }
-    Ok(format!(
-        "chaos contract ok: {} requests all answered; resume bound, duplicate retry \
-         replayed not re-applied, zero-budget op shed with Expired",
-        stats.requests
-    ))
-}
-
-/// The cluster contract (DESIGN.md §3.15), self-contained: a
-/// three-member `bso-cluster` serves recorded traffic across one live
-/// migration and one member kill; routing epochs must be monotone at
-/// every member, stale clients must be redirected with typed
-/// `WrongShard` (counted by the source), the merged multi-server
-/// history must be linearizable, and the per-object ledgers must
-/// balance to the acked increments exactly.
-fn validate_cluster() -> Result<String, String> {
-    use std::sync::Arc;
-
-    use bso::client::HistoryRecorder;
-    use bso::cluster::{Cluster, ClusterClient};
-    use bso::objects::{Layout, ObjectId, ObjectInit, Op, OpKind};
-    use bso::sim::check_history;
-
-    const MEMBERS: usize = 3;
-    const OBJECTS: usize = 6;
-    const ROUNDS: usize = 40;
-    const VICTIM: usize = 2;
-
-    let mut layout = Layout::new();
-    for _ in 0..OBJECTS {
-        layout.push(ObjectInit::FetchAdd(0));
-    }
-    let mut cluster =
-        Cluster::launch(MEMBERS, &layout).map_err(|e| format!("cluster: launch: {e}"))?;
-    let seeds: Vec<String> = (0..MEMBERS).map(|i| cluster.addr(i).to_string()).collect();
-
-    // Epoch monotonicity is checked at every member after every
-    // table-changing step.
-    let mut last_epochs = vec![0u64; MEMBERS];
-    let check_epochs = |cluster: &Cluster, last: &mut Vec<u64>, step: &str| -> Result<(), String> {
-        for (idx, seen) in last.iter_mut().enumerate() {
-            if !cluster.live(idx) {
-                continue;
-            }
-            let (epoch, _) = cluster
-                .admin(idx)
-                .and_then(|mut c| c.fetch_routing())
-                .map_err(|e| format!("cluster: fetch_routing({idx}) after {step}: {e}"))?;
-            if epoch < *seen {
-                return Err(format!(
-                    "cluster: member {idx} routing epoch went BACKWARD {seen} -> {epoch} \
-                     after {step}"
-                ));
-            }
-            *seen = epoch;
-        }
-        Ok(())
-    };
-    check_epochs(&cluster, &mut last_epochs, "launch")?;
-
-    let rec = Arc::new(HistoryRecorder::new());
-    let mut client = ClusterClient::connect(&seeds)
-        .map_err(|e| format!("cluster: client connect: {e}"))?
-        .with_recorder(Arc::clone(&rec));
-    let mut acked = vec![0i64; OBJECTS];
-    let pass = |client: &mut ClusterClient, acked: &mut Vec<i64>| -> Result<(), String> {
-        for round in 0..ROUNDS {
-            let obj = round % OBJECTS;
-            client
-                .apply(0, Op::new(ObjectId(obj), OpKind::FetchAdd(1)))
-                .map_err(|e| format!("cluster: apply: {e}"))?;
-            acked[obj] += 1;
-        }
-        Ok(())
-    };
-
-    // Traffic against the launch table, then one live migration the
-    // client only discovers through a WrongShard bounce.
-    pass(&mut client, &mut acked)?;
-    let slice = cluster.owned_ranges(0);
-    cluster
-        .migrate(0, 1, &slice)
-        .map_err(|e| format!("cluster: migrate: {e}"))?;
-    check_epochs(&cluster, &mut last_epochs, "migration")?;
-    pass(&mut client, &mut acked)?;
-    if client.redirects() == 0 {
-        return Err("cluster: the stale client was never redirected".into());
-    }
-
-    // Planned member loss: evacuate, kill, keep serving.
-    cluster
-        .evacuate(VICTIM)
-        .map_err(|e| format!("cluster: evacuate: {e}"))?;
-    let stats = cluster.kill(VICTIM);
-    if stats.wrong_shard == 0 && client.redirects() == 0 {
-        return Err("cluster: no member ever counted a WrongShard refusal".into());
-    }
-    check_epochs(&cluster, &mut last_epochs, "kill")?;
-    pass(&mut client, &mut acked)?;
-
-    // Exact ledgers on the survivors.
-    for (obj, &expect) in acked.iter().enumerate() {
-        let owner = (0..MEMBERS)
-            .find(|&i| {
-                cluster.live(i)
-                    && cluster
-                        .owned_ranges(i)
-                        .iter()
-                        .any(|&(lo, hi)| lo <= obj as u64 && obj as u64 <= hi)
-            })
-            .ok_or_else(|| format!("cluster: object {obj} has no live owner"))?;
-        let got = cluster
-            .admin(owner)
-            .and_then(|mut c| c.apply(0, Op::new(ObjectId(obj), OpKind::FetchAdd(0))))
-            .map_err(|e| format!("cluster: ledger read {obj}: {e}"))?
-            .as_int()
-            .ok_or("cluster: non-integer ledger")?;
-        if got != expect {
-            return Err(format!(
-                "cluster: LEDGER VIOLATION on object {obj}: {got} for {expect} acked"
-            ));
-        }
-    }
-
-    // The merged multi-server history is one linearizable whole.
-    let log = rec.take_log();
-    if log.len() != 3 * ROUNDS {
-        return Err(format!(
-            "cluster: recorded {} ops for {} acked",
-            log.len(),
-            3 * ROUNDS
-        ));
-    }
-    check_history(&layout, &log).map_err(|e| format!("cluster: NOT LINEARIZABLE\n{e}"))?;
-    let final_epoch = cluster.epoch();
-    cluster.shutdown();
-    Ok(format!(
-        "cluster contract ok: {MEMBERS} members, 1 migration + 1 kill survived; \
-         {} merged ops linearizable, ledgers exact, routing epochs monotone to {final_epoch}",
-        3 * ROUNDS
-    ))
 }

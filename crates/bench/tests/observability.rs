@@ -2,7 +2,8 @@
 //! live server (including the fault-recovery counters — resumes,
 //! replays and deadline sheds — and the agreement of the server's
 //! three metric views: `ServerStats`, `Introspect` and the Registry),
-//! `bsotop --tail` following a heartbeat file, and `trace_merge`
+//! `bsotop --tail` following a heartbeat file, `bsotop --cluster`
+//! showing each member's routing epoch and ranges, and `trace_merge`
 //! joining two sink exports.
 //!
 //! The binaries run as real subprocesses (`CARGO_BIN_EXE_*`), so these
@@ -356,6 +357,12 @@ fn bsotop_reports_fault_recovery_counters() {
     // shutdown totals exactly, and the last scrape equals both but for
     // its own request and response.
     let counters = registry.snapshot().counters;
+    let stat = |name: &str| {
+        scraped
+            .get("stats")
+            .and_then(|s| s.get(name))
+            .and_then(Json::as_u64)
+    };
     for (name, total) in totals(&stats) {
         assert_eq!(
             counters.get(&format!("server.{name}")),
@@ -364,12 +371,64 @@ fn bsotop_reports_fault_recovery_counters() {
         );
         let own = u64::from(name == "requests" || name == "responses");
         assert_eq!(
-            scraped
-                .get("stats")
-                .and_then(|s| s.get(name))
-                .and_then(Json::as_u64),
+            stat(name),
             Some(total - own),
             "Introspect stats.{name} vs ServerStats"
         );
     }
+    // The scrape counts the resumed session, and its per-shard shed
+    // entries add up to its total.
+    assert!(stat("sessions") >= Some(1));
+    let shard_shed: u64 = scraped
+        .get("shards")
+        .and_then(Json::items)
+        .unwrap()
+        .iter()
+        .map(|s| s.get("shed").and_then(Json::as_u64).unwrap())
+        .sum();
+    assert_eq!(Some(shard_shed), stat("shed"));
+}
+
+#[test]
+fn bsotop_cluster_shows_each_members_epoch_and_ranges() {
+    use bso::cluster::Cluster;
+
+    let mut layout = Layout::new();
+    for _ in 0..4 {
+        layout.push(ObjectInit::FetchAdd(0));
+    }
+    let cluster = Cluster::launch(2, &layout).unwrap();
+    let addrs: Vec<String> = (0..2).map(|i| cluster.addr(i).to_string()).collect();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_bsotop"))
+        .args(["--cluster", &addrs.join(","), "--frames", "1"])
+        .output()
+        .expect("spawn bsotop");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "bsotop --cluster failed: {stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Row columns: member, state, epoch, detaches, four rates and
+    // counts, owned ranges.
+    for (i, addr) in addrs.iter().enumerate() {
+        let row: Vec<&str> = stdout
+            .lines()
+            .find(|l| l.starts_with(addr.as_str()))
+            .unwrap_or_else(|| panic!("no row for {addr} in {stdout:?}"))
+            .split_whitespace()
+            .collect();
+        let owned: Vec<String> = cluster
+            .owned_ranges(i)
+            .iter()
+            .map(|&(lo, hi)| match hi {
+                u64::MAX => format!("{lo}-max"),
+                _ => format!("{lo}-{hi}"),
+            })
+            .collect();
+        assert_eq!(row[1..3], ["serving", "1"], "member {i}: {row:?}");
+        assert_eq!(row.last().copied(), Some(owned.join(",").as_str()));
+    }
+    cluster.shutdown();
 }

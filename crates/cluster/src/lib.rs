@@ -23,8 +23,13 @@
 //!   [`ResilientClient`] session, refreshes-and-redirects on
 //!   `WrongShard`, fails over to surviving members when an owner dies,
 //!   and runs **replicated election sessions** (primary + backup
-//!   member, re-sealed after every decision) that survive the loss of
-//!   their home server.
+//!   member). After each decision at the primary the client copies the
+//!   decided state to the backup (a best-effort seal), and electing
+//!   fails over to the backup when the primary is gone. A lost seal
+//!   leaves the backup pristine: if the primary then dies, the next
+//!   participant can win at the backup, a second winner for one
+//!   session. ROADMAP item 2 owns the model of this protocol and its
+//!   fix.
 //!
 //! ## Exactly-once across migration
 //!
@@ -588,10 +593,11 @@ impl ClusterClient {
     }
 
     /// Runs participant `pid` of replicated session `session` to its
-    /// decision. The decided state is re-sealed onto the backup after
-    /// every primary-side decision, so if the primary dies, electing
-    /// against the backup returns the *same* winner — the election
-    /// survives the loss of its home server.
+    /// decision. After every primary-side decision the client tries to
+    /// seal the decided state onto the backup; when the seal lands and
+    /// the primary then dies, electing against the backup returns the
+    /// *same* winner. The seal is best effort, so agreement across a
+    /// primary loss is not guaranteed (see the module docs).
     ///
     /// # Errors
     ///
@@ -611,9 +617,11 @@ impl ClusterClient {
         };
         match at_primary {
             Ok(winner) => {
-                // Seal: replicate the decided state so the backup
-                // deterministically agrees from now on. Best effort —
-                // losing a seal only narrows the failover window.
+                // Seal: copy the decided state so the backup agrees
+                // from now on. Best effort: a failed seal leaves the
+                // backup pristine, and if the primary then dies the
+                // next participant can win there, a second winner
+                // (ROADMAP item 2 owns the model and the fix).
                 let _ = self.seal(&primary, &backup, session, k);
                 Ok(winner)
             }

@@ -50,13 +50,26 @@ fn launch_installs_a_consistent_table_everywhere() {
 
 /// Traffic keeps flowing across a live migration: the stale client is
 /// bounced with `WrongShard`, refreshes, redirects, and every
-/// increment lands exactly once.
+/// increment lands exactly once. Routing epochs only move forward at
+/// every member, through the migration and a later evacuate + kill.
 #[test]
 fn live_migration_redirects_stale_clients_with_exact_ledgers() {
     const OBJECTS: usize = 6;
     const ROUNDS: i64 = 10;
     let mut cluster = Cluster::launch(3, &counters(OBJECTS)).unwrap();
     let seeds: Vec<String> = (0..3).map(|i| cluster.addr(i).to_string()).collect();
+    // After every table change each live member serves the current
+    // epoch, and no member's epoch ever goes backward.
+    let mut seen = [0u64; 3];
+    let mut check_epochs = |cluster: &Cluster, step: &str| {
+        for idx in (0..3).filter(|&i| cluster.live(i)) {
+            let (epoch, _) = cluster.admin(idx).unwrap().fetch_routing().unwrap();
+            assert!(epoch >= seen[idx], "member {idx} went back after {step}");
+            assert_eq!(epoch, cluster.epoch(), "member {idx} after {step}");
+            seen[idx] = epoch;
+        }
+    };
+    check_epochs(&cluster, "launch");
     let mut client = ClusterClient::connect(&seeds)
         .unwrap()
         .with_policy(fast_policy());
@@ -78,6 +91,7 @@ fn live_migration_redirects_stale_clients_with_exact_ledgers() {
     assert!(!ranges.is_empty());
     cluster.migrate(0, 1, &ranges).unwrap();
     assert_eq!(cluster.epoch(), 2);
+    check_epochs(&cluster, "migration");
 
     // Second half: the first op against a moved object must bounce off
     // member 0, refresh, and land on member 1 — invisible up here
@@ -101,6 +115,11 @@ fn live_migration_redirects_stale_clients_with_exact_ledgers() {
             .unwrap();
         assert_eq!(v, Value::Int(ROUNDS), "final ledger of object {obj}");
     }
+
+    // Planned loss of member 2: evacuate its slice, then kill it.
+    cluster.evacuate(2).unwrap();
+    cluster.kill(2);
+    check_epochs(&cluster, "evacuate + kill");
 
     // The source really refused post-migration traffic (typed, counted)
     // and its exported copy stayed in place (retired, not deleted).

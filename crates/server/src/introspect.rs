@@ -47,6 +47,10 @@ use crate::server::ServerStats;
 use crate::shard::XQueue;
 use crate::wire;
 
+/// The schema tag of the `Introspect` document (re-exported as
+/// `bso_server::INTROSPECT_SCHEMA`).
+pub const SCHEMA: &str = "bso-introspect/v1";
+
 /// Environment variable naming the file the server writes its full
 /// introspection snapshot (flight recorders included) to on shutdown:
 /// `BSO_FLIGHT=path.json`.
@@ -527,7 +531,7 @@ pub(crate) fn introspect_doc(shared: &Shared) -> Json {
     totals.push(("sessions", Json::U64(shared.sessions.sessions() as u64)));
     totals.sort_by_key(|&(name, _)| name);
     Json::obj([
-        ("schema", Json::str("bso-introspect/v1")),
+        ("schema", Json::str(SCHEMA)),
         (
             "config",
             Json::obj([

@@ -77,7 +77,7 @@ mod session;
 mod shard;
 pub mod wire;
 
-pub use introspect::FLIGHT_ENV;
+pub use introspect::{FLIGHT_ENV, SCHEMA as INTROSPECT_SCHEMA};
 pub use poll::PollBackend;
 pub use routing::{RouteEntry, RoutingTable};
 pub use server::{Server, ServerBuilder, ServerHandle, ServerStats};

@@ -560,8 +560,37 @@ mod tests {
         );
         let config = doc.get("config").expect("config");
         assert_eq!(config.get("shards").and_then(Json::as_u64), Some(4));
+        for key in ["backend", "pin_cores", "queue_capacity", "read_chunk"] {
+            assert!(config.get(key).is_some(), "config lacks {key}");
+        }
         let shards = doc.get("shards").expect("shards");
         assert_eq!(shards.len(), Some(4), "one entry per event loop");
+        for (i, entry) in shards.items().unwrap().iter().enumerate() {
+            assert_eq!(entry.get("shard").and_then(Json::as_u64), Some(i as u64));
+            let int = |j: &Json, key: &str| j.get(key).and_then(Json::as_u64);
+            for key in ["conns", "queue_depth", "wakeups"] {
+                assert!(int(entry, key).is_some(), "shard {i} lacks integer {key}");
+            }
+            for hist in ["apply_ns", "elect_ns", "flush_batch", "turn_ns"] {
+                let h = entry.get(hist).expect("histogram");
+                let field = |key| int(h, key).unwrap_or_else(|| panic!("shard {i} {hist}.{key}"));
+                let quantiles = ["min", "p50", "p90", "p99", "max"].map(field);
+                field("sum");
+                if field("count") > 0 {
+                    assert!(
+                        quantiles.windows(2).all(|w| w[0] <= w[1]),
+                        "shard {i} {hist} quantiles out of order: {quantiles:?}"
+                    );
+                }
+            }
+            let flight = entry.get("flight").expect("flight");
+            for key in ["seq", "slow_dropped", "threshold_ns"] {
+                assert!(int(flight, key).is_some(), "shard {i} flight lacks {key}");
+            }
+            for key in ["recent", "slow"] {
+                assert!(flight.get(key).and_then(Json::items).is_some(), "{key}");
+            }
+        }
         // The apply above landed on loop 1 (object 1 % 4): its probe
         // saw it, flight recorder included.
         let probed = &shards.items().unwrap()[1];
@@ -585,6 +614,9 @@ mod tests {
             server.get("wire").and_then(|j| j.as_str()),
             Some(wire::SCHEMA)
         );
+        for key in ["crate", "uptime_ms", "version"] {
+            assert!(server.get(key).is_some(), "server lacks {key}");
+        }
         drop(c);
         let stats = handle.shutdown();
         assert_eq!(stats.requests, 2);

@@ -46,6 +46,9 @@ use json::Json;
 pub use progress::ProgressReporter;
 pub use trace::{TraceArg, TraceSink, TraceSpan, TraceWorker};
 
+/// The schema tag every [`Snapshot`] document carries.
+pub const SCHEMA: &str = "bso-telemetry/v1";
+
 /// The environment variable that enables the global registry and names
 /// the snapshot file: `BSO_TELEMETRY=path.json`.
 pub const ENV_VAR: &str = "BSO_TELEMETRY";
@@ -477,7 +480,7 @@ impl Snapshot {
         }
         metrics.sort_by(|(a, _), (b, _)| a.cmp(b));
         Json::obj([
-            ("schema", Json::str("bso-telemetry/v1")),
+            ("schema", Json::str(SCHEMA)),
             ("metrics", Json::Obj(metrics)),
         ])
     }

@@ -39,6 +39,9 @@ use std::time::{Duration, Instant};
 use crate::json::Json;
 use crate::{Registry, Snapshot};
 
+/// The schema tag every heartbeat line carries.
+pub const SCHEMA: &str = "bso-progress/v1";
+
 /// The environment variable that enables the global reporter and names
 /// its output: `BSO_PROGRESS=path.jsonl`, or `stderr` / `-` for
 /// stderr.
@@ -90,7 +93,7 @@ pub fn heartbeat(
         .collect();
     queues.sort_unstable();
     let mut fields = vec![
-        ("schema", Json::str("bso-progress/v1")),
+        ("schema", Json::str(SCHEMA)),
         ("seq", Json::U64(seq)),
         (
             "elapsed_ms",

@@ -44,6 +44,9 @@ use std::time::Instant;
 
 use crate::json::Json;
 
+/// The schema tag every export (merged or not) carries.
+pub const SCHEMA: &str = "bso-trace/v1";
+
 /// The environment variable that enables the global sink and names the
 /// trace file: `BSO_TRACE=path.json`.
 pub const ENV_VAR: &str = "BSO_TRACE";
@@ -314,7 +317,7 @@ impl TraceSink {
         data.sort_by_key(|(ts, tid, _)| (*ts, *tid));
         out.extend(data.into_iter().map(|(_, _, j)| j));
         Json::obj([
-            ("schema", Json::str("bso-trace/v1")),
+            ("schema", Json::str(SCHEMA)),
             ("displayTimeUnit", Json::str("ms")),
             ("dropped", Json::U64(dropped)),
             ("traceEvents", Json::Arr(out)),
@@ -514,14 +517,17 @@ pub fn dump_global_trace_if_env() -> std::io::Result<Option<std::path::PathBuf>>
     Ok(Some(path))
 }
 
-fn merge_events_of<'a>(doc: &'a Json, which: &str) -> Result<&'a [Json], String> {
+/// The `traceEvents` array of a [`SCHEMA`] document; `which` names
+/// the document in errors.
+///
+/// # Errors
+///
+/// Rejects a document of another schema, or one whose `traceEvents`
+/// is missing or not an array.
+pub fn events_of<'a>(doc: &'a Json, which: &str) -> Result<&'a [Json], String> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bso-trace/v1") => {}
-        other => {
-            return Err(format!(
-                "{which} trace: schema is {other:?}, want bso-trace/v1"
-            ))
-        }
+        Some(SCHEMA) => {}
+        other => return Err(format!("{which} trace: schema is {other:?}, want {SCHEMA}")),
     }
     match doc.get("traceEvents") {
         Some(Json::Arr(evs)) => Ok(evs),
@@ -602,8 +608,8 @@ fn rebase_event(e: &Json, tid_base: u64, ts_shift: f64, side: &str) -> Json {
 /// Rejects documents that are not `bso-trace/v1`, and inputs that
 /// share no `trace_id` (there is nothing to align the clocks with).
 pub fn merge_traces(client: &Json, server: &Json) -> Result<Json, String> {
-    let c_events = merge_events_of(client, "client")?;
-    let s_events = merge_events_of(server, "server")?;
+    let c_events = events_of(client, "client")?;
+    let s_events = events_of(server, "server")?;
     let c_mids = span_mids(c_events);
     let s_mids = span_mids(s_events);
     let mut offsets: Vec<f64> = c_mids
@@ -651,7 +657,7 @@ pub fn merge_traces(client: &Json, server: &Json) -> Result<Json, String> {
     let dropped = client.get("dropped").and_then(Json::as_u64).unwrap_or(0)
         + server.get("dropped").and_then(Json::as_u64).unwrap_or(0);
     Ok(Json::obj([
-        ("schema", Json::str("bso-trace/v1")),
+        ("schema", Json::str(SCHEMA)),
         ("displayTimeUnit", Json::str("ms")),
         ("dropped", Json::U64(dropped)),
         (
